@@ -8,6 +8,7 @@ simulator supplying ground truth for every stage.
 from .errors import (
     BelowFloorError,
     ConfigError,
+    DataError,
     DegeneracyError,
     DegenerateHistogramError,
     FeatureNotFoundError,
@@ -66,6 +67,7 @@ __all__ = [
     "BelowFloorError",
     "CalibrationProfile",
     "ConfigError",
+    "DataError",
     "DegeneracyError",
     "DegenerateHistogramError",
     "FeatureId",

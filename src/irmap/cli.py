@@ -14,24 +14,13 @@ import hashlib
 import sys
 import time
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
 from . import features as feat
 from . import geometry, radiometry, simulator, spatial, store
-from .errors import ConfigError, IrmapError, ParameterError
-
-_DATA_ERRORS = (
-    "StlParseError",
-    "StlTruncationError",
-    "StoreFormatError",
-    "StoreCorruptionError",
-    "OutOfFrameError",
-    "BelowFloorError",
-    "NoPrescanError",
-    "FeatureNotFoundError",
-    "DegenerateHistogramError",
-)
+from .errors import ConfigError, DataError, IrmapError, StoreFormatError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -39,65 +28,97 @@ EXIT_DATA = 3
 EXIT_INTERNAL = 4
 
 
+def _ini(default, section: str, key: str = "", parse=None):
+    """A RunConfig field read from `key` (default: the field name) of [section].
+
+    `parse` maps the value text to {field name: value}, for keys that set
+    several fields or are not a plain int, float or str.
+    """
+    return field(default=default, metadata={"ini": (section, key, parse)})
+
+
+def _parse_layers(text: str) -> dict:
+    lo, hi = text.split("..")
+    return {"layer_lo": int(lo), "layer_hi": int(hi)}
+
+
+def _parse_features(text: str) -> dict:
+    if not text.strip() or text.strip().lower() == "all":
+        return {"features": ()}
+    ids = []
+    for name in text.split(","):
+        key = name.strip().upper()
+        if key not in feat.FeatureId.__members__:
+            raise ValueError(f"unknown feature {name.strip()!r}")
+        ids.append(int(feat.FeatureId[key]))
+    return {"features": tuple(ids)}
+
+
+def _parse_pitch(text: str) -> dict:
+    x, y, z = (float(p) for p in text.split(","))
+    return {"pitch_x_um": x, "pitch_y_um": y, "pitch_z_um": z}
+
+
 @dataclass
 class RunConfig:
     """Effective parameters of one pipeline run (flags already merged in)."""
 
-    stl: str = "box.stl"
-    out: str = "features.irvx"
-    frames_dir: str = ""  # empty = simulate in memory
-    seed: int = 0
-    jobs: int = 1
-    layer_lo: int = 0
+    stl: str = _ini("box.stl", "geometry")
+    out: str = _ini("features.irvx", "run")
+    frames_dir: str = _ini("", "run")  # empty = simulate in memory
+    seed: int = _ini(0, "run")
+    jobs: int = _ini(1, "run")
+    layer_lo: int = _ini(0, "run", "layers", _parse_layers)  # sets layer_hi too
     layer_hi: int = -1  # -1 = all layers of the voxel grid
-    features: tuple[int, ...] = ()  # empty = every feature
+    features: tuple[int, ...] = _ini((), "run", "features", _parse_features)  # () = all
 
-    pitch_x_um: float = 360.0
+    pitch_x_um: float = _ini(360.0, "geometry", "pitch_um", _parse_pitch)  # sets y, z too
     pitch_y_um: float = 360.0
     pitch_z_um: float = 40.0
 
-    cam_width: int = 640
-    cam_height: int = 480
-    origin_x: int = 320
-    origin_y: int = 240
-    fps: float = 30.0
+    cam_width: int = _ini(640, "camera", "width")
+    cam_height: int = _ini(480, "camera", "height")
+    origin_x: int = _ini(320, "camera")
+    origin_y: int = _ini(240, "camera")
+    fps: float = _ini(30.0, "camera")
 
-    scan_speed_mm_s: float = 960.0
-    hatch_um: float = 110.0
-    stripe_width_mm: float = 10.0
-    stripe_overlap_mm: float = 0.08
-    rotation_per_layer_deg: float = 66.7
-    layer_thickness_um: float = 40.0
+    scan_speed_mm_s: float = _ini(960.0, "scan")
+    hatch_um: float = _ini(110.0, "scan")
+    stripe_width_mm: float = _ini(10.0, "scan")
+    stripe_overlap_mm: float = _ini(0.08, "scan")
+    rotation_per_layer_deg: float = _ini(66.7, "scan")
+    layer_thickness_um: float = _ini(40.0, "scan")
 
-    ambient_c: float = 80.0
-    peak_c: float = 1200.0
-    footprint_px: float = 1.5
-    decay_s: float = 0.033
+    ambient_c: float = _ini(80.0, "thermal")
+    peak_c: float = _ini(1200.0, "thermal")
+    footprint_px: float = _ini(1.5, "thermal")
+    decay_s: float = _ini(0.033, "thermal")
 
-    noise_percent: float = 0.0  # of each layer's rendered dynamic range
-    prescan_frames: int = 3
-    tail_frames: int = 35
-    spatter_count: int = 0
-    spatter_peak_dt_c: float = 400.0
-    spatter_decay_s: float = 0.15
+    noise_percent: float = _ini(0.0, "simulation")  # % of each layer's count range
+    prescan_frames: int = _ini(3, "simulation")
+    tail_frames: int = _ini(35, "simulation")
+    spatter_count: int = _ini(0, "simulation")
+    spatter_peak_dt_c: float = _ini(400.0, "simulation")
+    spatter_decay_s: float = _ini(0.15, "simulation")
 
-    offset_frames: int = 10
-    cooling_window: int = 30
-    spatter_floor_sigmas: float = 6.0
+    offset_frames: int = _ini(10, "features")
+    cooling_window: int = _ini(30, "features")
+    spatter_floor_sigmas: float = _ini(6.0, "features")
 
-    profile_path: str = ""  # empty = built-in defaults
+    profile_path: str = _ini("", "run", "profile")  # empty = built-in defaults
     config_dir: str = "."
     config_sha256: str = ""
 
+    @cached_property
     def profile(self) -> radiometry.CalibrationProfile:
-        if self.profile_path:
-            path = self._resolve(self.profile_path)
-            try:
-                with open(path, encoding="utf-8") as fh:
-                    return radiometry.profile_from_text(fh.read())
-            except OSError as exc:
-                raise ConfigError(f"cannot read profile {path}: {exc}") from exc
-        return radiometry.CalibrationProfile()
+        if not self.profile_path:
+            return radiometry.CalibrationProfile()
+        path = self._resolve(self.profile_path)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                return radiometry.profile_from_text(fh.read())
+        except (OSError, configparser.Error, ValueError) as exc:
+            raise ConfigError(f"cannot read profile {path}: {exc}") from exc
 
     def _resolve(self, rel: str) -> str:
         import os
@@ -111,105 +132,43 @@ class RunConfig:
             dims=(self.cam_width, self.cam_height),
         )
 
+    def params(self, cls):
+        """A parameter object built from the config fields of the same names."""
+        return cls(**{f.name: getattr(self, f.name) for f in fields(cls)})
+
     def scan_params(self) -> simulator.ScanParameters:
-        return simulator.ScanParameters(
-            scan_speed_mm_s=self.scan_speed_mm_s,
-            hatch_um=self.hatch_um,
-            stripe_width_mm=self.stripe_width_mm,
-            stripe_overlap_mm=self.stripe_overlap_mm,
-            rotation_per_layer_deg=self.rotation_per_layer_deg,
-            layer_thickness_um=self.layer_thickness_um,
-        )
-
-    def thermal_params(self) -> simulator.ThermalParams:
-        return simulator.ThermalParams(
-            ambient_c=self.ambient_c,
-            peak_c=self.peak_c,
-            footprint_px=self.footprint_px,
-            decay_s=self.decay_s,
-        )
-
-    def feature_params(self, profile) -> feat.FeatureParams:
-        return feat.FeatureParams(
-            offset_frames=self.offset_frames,
-            cooling_window=self.cooling_window,
-            spatter_floor_sigmas=self.spatter_floor_sigmas,
-        )
+        return self.params(simulator.ScanParameters)
 
 
-_SECTION_KEYS = {
-    "run": {
-        "out": ("out", str),
-        "frames_dir": ("frames_dir", str),
-        "seed": ("seed", int),
-        "jobs": ("jobs", int),
-        "layers": ("layers", str),
-        "features": ("features", str),
-        "profile": ("profile_path", str),
-    },
-    "geometry": {
-        "stl": ("stl", str),
-        "pitch_um": ("pitch_um", str),
-    },
-    "camera": {
-        "width": ("cam_width", int),
-        "height": ("cam_height", int),
-        "origin_x": ("origin_x", int),
-        "origin_y": ("origin_y", int),
-        "fps": ("fps", float),
-    },
-    "scan": {
-        "scan_speed_mm_s": ("scan_speed_mm_s", float),
-        "hatch_um": ("hatch_um", float),
-        "stripe_width_mm": ("stripe_width_mm", float),
-        "stripe_overlap_mm": ("stripe_overlap_mm", float),
-        "rotation_per_layer_deg": ("rotation_per_layer_deg", float),
-        "layer_thickness_um": ("layer_thickness_um", float),
-    },
-    "thermal": {
-        "ambient_c": ("ambient_c", float),
-        "peak_c": ("peak_c", float),
-        "footprint_px": ("footprint_px", float),
-        "decay_s": ("decay_s", float),
-    },
-    "simulation": {
-        "noise_percent": ("noise_percent", float),
-        "prescan_frames": ("prescan_frames", int),
-        "tail_frames": ("tail_frames", int),
-        "spatter_count": ("spatter_count", int),
-        "spatter_peak_dt_c": ("spatter_peak_dt_c", float),
-        "spatter_decay_s": ("spatter_decay_s", float),
-    },
-    "features": {
-        "offset_frames": ("offset_frames", int),
-        "cooling_window": ("cooling_window", int),
-        "spatter_floor_sigmas": ("spatter_floor_sigmas", float),
-    },
-}
+def _schema() -> dict[str, dict[str, tuple[str, object]]]:
+    """{section: {key: (field name, parser or None)}} from the RunConfig metadata."""
+    table: dict[str, dict[str, tuple[str, object]]] = {}
+    for f in fields(RunConfig):
+        if "ini" in f.metadata:
+            section, key, parse = f.metadata["ini"]
+            table.setdefault(section, {})[key or f.name] = (f.name, parse)
+    return table
 
 
-def _parse_layers(text: str) -> tuple[int, int]:
+_SCHEMA = _schema()
+
+
+def _set(cfg: RunConfig, section: str, key: str, text: str) -> None:
+    """Parse `text` as the value of [section] key and store it on cfg."""
+    if key not in _SCHEMA[section]:
+        raise ConfigError(f"unknown key {key!r} in section [{section}]")
+    name, parse = _SCHEMA[section][key]
     try:
-        lo, hi = text.split("..")
-        return int(lo), int(hi)
+        values = parse(text) if parse else {name: type(getattr(RunConfig, name))(text)}
     except ValueError as exc:
-        raise ConfigError(f"layers must look like 'a..b', got {text!r}") from exc
+        raise ConfigError(f"bad value for {section}.{key}: {text!r} ({exc})") from exc
+    for attr, value in values.items():
+        setattr(cfg, attr, value)
 
 
-def _parse_features(text: str) -> tuple[int, ...]:
-    if not text.strip() or text.strip().lower() == "all":
-        return ()
-    ids = []
-    for name in text.split(","):
-        key = name.strip().upper()
-        if key not in feat.FeatureId.__members__:
-            raise ConfigError(f"unknown feature {name.strip()!r}")
-        ids.append(int(feat.FeatureId[key]))
-    return tuple(ids)
-
-
-def load_config(path: str) -> RunConfig:
-    """Read a UTF-8 key-value config file into a validated RunConfig."""
+def load_config(path: str, args=None) -> RunConfig:
+    """Read a UTF-8 key-value config file, apply the command-line flags in
+    `args` (an argparse namespace) over it, and validate the result."""
     import os
 
     if not os.path.exists(path):
@@ -226,29 +185,15 @@ def load_config(path: str) -> RunConfig:
     cfg.config_dir = os.path.dirname(os.path.abspath(path))
     cfg.config_sha256 = hashlib.sha256(text.encode("utf-8")).hexdigest()
     for section in parser.sections():
-        if section not in _SECTION_KEYS:
+        if section not in _SCHEMA:
             raise ConfigError(f"unknown config section [{section}]")
-        keys = _SECTION_KEYS[section]
         for key, raw in parser[section].items():
-            if key not in keys:
-                raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            attr, conv = keys[key]
-            if attr == "layers":
-                cfg.layer_lo, cfg.layer_hi = _parse_layers(raw)
-            elif attr == "features":
-                cfg.features = _parse_features(raw)
-            elif attr == "pitch_um":
-                parts = [p.strip() for p in raw.split(",")]
-                if len(parts) != 3:
-                    raise ConfigError(f"pitch_um needs three values, got {raw!r}")
-                cfg.pitch_x_um, cfg.pitch_y_um, cfg.pitch_z_um = map(float, parts)
-            else:
-                try:
-                    setattr(cfg, attr, conv(raw))
-                except ValueError as exc:
-                    raise ConfigError(
-                        f"bad value for {section}.{key}: {raw!r}"
-                    ) from exc
+            _set(cfg, section, key, raw)
+    for key in _SCHEMA["run"]:  # a flag named like a [run] key overrides it
+        flag = getattr(args, key, None)
+        if flag is not None:
+            _set(cfg, "run", key, flag)
+
     stl = cfg._resolve(cfg.stl)
     if not os.path.exists(stl):
         raise ConfigError(f"STL file not found: {stl}")
@@ -256,6 +201,7 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError("jobs must be at least 1")
     if not (0.0 <= cfg.noise_percent <= 100.0):
         raise ConfigError("noise_percent must be in [0, 100]")
+    cfg.profile  # read once per run; a bad profile file is a config error
     return cfg
 
 
@@ -284,7 +230,6 @@ def _simulate_layer(cfg: RunConfig, vox: geometry.VoxelMesh, layer: int):
     reg = cfg.registration()
     mask = geometry.layer_mask(vox, layer, reg)
     path = simulator.generate_scan_path(mask, cfg.scan_params(), layer)
-    profile = cfg.profile()
     schedule = simulator.SpatterSchedule()
     if cfg.spatter_count > 0 and len(path):
         schedule = simulator.make_spatter_schedule(
@@ -300,22 +245,16 @@ def _simulate_layer(cfg: RunConfig, vox: geometry.VoxelMesh, layer: int):
     stack, truth = simulator.render_frames(
         path,
         (cfg.cam_width, cfg.cam_height),
-        cfg.thermal_params(),
-        profile,
+        cfg.params(simulator.ThermalParams),
+        cfg.profile,
         spatters=schedule,
-        noise_sigma=0.0,
+        noise_percent=cfg.noise_percent,
         fps=cfg.fps,
         prescan_frames=cfg.prescan_frames,
         tail_frames=cfg.tail_frames,
+        seed=cfg.seed + 9973 * layer,
         layer=layer,
     )
-    if cfg.noise_percent > 0:
-        span = float(stack.frames.max() - stack.frames.min())
-        sigma = cfg.noise_percent / 100.0 * span
-        rng = np.random.default_rng(cfg.seed + 9973 * layer)
-        for k in range(len(stack)):  # frame at a time to bound the noise buffer
-            noisy = stack.frames[k] + rng.normal(0.0, sigma, stack.shape)
-            stack.frames[k] = np.clip(noisy, 1.0, 65535.0)
     truth.true_temperatures = None  # keep the multi-layer run light on memory
     return stack, truth, mask
 
@@ -329,7 +268,15 @@ def _load_layer(cfg: RunConfig, vox: geometry.VoxelMesh, layer: int):
     path = os.path.join(cfg._resolve(cfg.frames_dir), f"layer_{layer:04d}.irfs")
     if not os.path.exists(path):
         raise ConfigError(f"frame stack not found: {path}")
-    frames, fps, recoat = store.read_layer_stack(path)
+    try:
+        frames, fps, recoat = store.read_layer_stack(path)
+    except StoreFormatError as exc:
+        raise StoreFormatError(f"layer {layer}: {path}: {exc}") from exc
+    if frames.shape[1:] != (cfg.cam_height, cfg.cam_width):
+        raise StoreFormatError(
+            f"layer {layer}: {path}: frames are {frames.shape[2]}x{frames.shape[1]} px, "
+            f"[camera] is {cfg.cam_width}x{cfg.cam_height}"
+        )
     stack = feat.LayerStack(frames=frames, fps=fps, layer=layer, recoat_boundary=recoat)
     return stack, None, mask
 
@@ -340,8 +287,9 @@ def process_layer(cfg: RunConfig, vox: geometry.VoxelMesh, layer: int) -> LayerR
         stack, truth, mask = _load_layer(cfg, vox, layer)
     else:
         stack, truth, mask = _simulate_layer(cfg, vox, layer)
-    profile = cfg.profile()
-    result = feat.extract_layer(stack, profile, mask, cfg.feature_params(profile))
+    result = feat.extract_layer(
+        stack, cfg.profile, mask, cfg.params(feat.FeatureParams)
+    )
     return LayerResult(
         layer=layer,
         frame_count=len(stack),
@@ -520,20 +468,6 @@ def write_demo(out_dir: str) -> str:
     return cfg_path
 
 
-def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    if getattr(args, "out", None):
-        cfg.out = args.out
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    if getattr(args, "jobs", None) is not None:
-        cfg.jobs = args.jobs
-    if getattr(args, "layers", None):
-        cfg.layer_lo, cfg.layer_hi = _parse_layers(args.layers)
-    if getattr(args, "features", None):
-        cfg.features = _parse_features(args.features)
-    return cfg
-
-
 def _cmd_calibrate_spatial(args) -> int:
     with open(args.points, encoding="utf-8") as fh:
         pairs = spatial.parse_correspondences(fh.read())
@@ -578,9 +512,10 @@ def _cmd_calibrate_thermal(args) -> int:
 def _cmd_voxelize(args) -> int:
     with open(args.stl, "rb") as fh:
         mesh = geometry.parse_stl(fh.read())
-    pitch = tuple(float(v) for v in args.pitch.split(","))
-    if len(pitch) != 3:
-        raise ConfigError(f"pitch needs three values, got {args.pitch!r}")
+    try:
+        pitch = tuple(_parse_pitch(args.pitch).values())
+    except ValueError as exc:
+        raise ConfigError(f"bad --pitch {args.pitch!r}: {exc}") from exc
     vox = geometry.voxelize(mesh, pitch)
     nx, ny, nz = vox.dims
     print(f"grid: {nx} x {ny} x {nz} voxels at {pitch} um")
@@ -598,7 +533,7 @@ def _cmd_voxelize(args) -> int:
 def _cmd_simulate(args) -> int:
     import os
 
-    cfg = _apply_overrides(load_config(args.config), args)
+    cfg = load_config(args.config, args)
     vox = _voxelize_config(cfg)
     os.makedirs(args.out_dir, exist_ok=True)
     for layer in _layer_range(cfg, vox):
@@ -628,7 +563,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_extract(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
+    cfg = load_config(args.config, args)
     result = run_pipeline(cfg)
     print(f"store written: {cfg._resolve(cfg.out)}")
     print(f"blocks: {len(result.store.blocks)}")
@@ -704,7 +639,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("simulate", help="render synthetic frame stacks to disk")
     sp.add_argument("--config", required=True)
     sp.add_argument("--out-dir", required=True)
-    sp.add_argument("--seed", type=int)
+    sp.add_argument("--seed")
     sp.add_argument("--layers")
     sp.set_defaults(func=_cmd_simulate)
 
@@ -713,8 +648,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out")
     sp.add_argument("--layers")
     sp.add_argument("--features", help="comma list, default all")
-    sp.add_argument("--jobs", type=int)
-    sp.add_argument("--seed", type=int)
+    sp.add_argument("--jobs")
+    sp.add_argument("--seed")
     sp.set_defaults(func=_cmd_extract)
 
     sp = sub.add_parser("export", help="export one stored layer/feature grid")
@@ -736,14 +671,6 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _classify(exc: IrmapError) -> int:
-    if isinstance(exc, ConfigError):
-        return EXIT_CONFIG
-    if type(exc).__name__ in _DATA_ERRORS:
-        return EXIT_DATA
-    return EXIT_INTERNAL
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -754,12 +681,10 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"missing file: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except IrmapError as exc:
-        code = _classify(exc)
-        kind = {EXIT_DATA: "data error", EXIT_INTERNAL: "internal error"}[code]
-        print(f"{kind}: {exc}", file=sys.stderr)
-        return code
-    except (AssertionError, ParameterError) as exc:
+    except DataError as exc:
+        print(f"data error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except (AssertionError, IrmapError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -9,11 +9,15 @@ class ParameterError(IrmapError, ValueError):
     """An argument violates a documented precondition."""
 
 
-class DegenerateHistogramError(IrmapError):
+class DataError(IrmapError):
+    """Input data (geometry, frames, a store) is malformed or unusable."""
+
+
+class DegenerateHistogramError(DataError):
     """Thresholding requested on an image whose histogram has a single occupied bin."""
 
 
-class BelowFloorError(IrmapError):
+class BelowFloorError(DataError):
     """Counts at or below the non-object background term: object colder than surroundings."""
 
 
@@ -29,7 +33,7 @@ class HorizonError(IrmapError):
     """Projective denominator vanished: the point lies on the horizon line."""
 
 
-class StlParseError(IrmapError):
+class StlParseError(DataError):
     """Malformed STL input."""
 
     def __init__(self, message, line=None):
@@ -45,7 +49,7 @@ class StlTruncationError(StlParseError):
         self.offset = offset
 
 
-class OutOfFrameError(IrmapError):
+class OutOfFrameError(DataError):
     """A voxel registered to a pixel outside the camera frame."""
 
     def __init__(self, message, voxels=()):
@@ -53,11 +57,11 @@ class OutOfFrameError(IrmapError):
         self.voxels = list(voxels)
 
 
-class NoPrescanError(IrmapError):
+class NoPrescanError(DataError):
     """Laser activity already present in frame 0; no pre-scan window exists."""
 
 
-class StoreFormatError(IrmapError):
+class StoreFormatError(DataError):
     """Bad magic or unsupported version in a feature store."""
 
 
@@ -71,7 +75,7 @@ class StoreCorruptionError(StoreFormatError):
         self.feature_id = feature_id
 
 
-class FeatureNotFoundError(IrmapError):
+class FeatureNotFoundError(DataError):
     """Requested (layer, feature) pair is absent from the store."""
 
 

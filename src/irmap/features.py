@@ -95,35 +95,35 @@ class SpatterRecord:
     landing_pixels: np.ndarray  # (n, 2) array of (y, x)
     centroid: tuple[float, float]  # (x, y)
     size: int
-    source_pixels: np.ndarray  # (n, 2) array of (y, x), laser location at the frame
 
 
 @dataclass
 class FeatureParams:
-    """Tunable extractor parameters; thresholds default from the profile."""
+    """Extractor parameters that a run config sets."""
 
     offset_frames: int = 10
     cooling_window: int = 30
-    mask_sigma: float = 3.0
-    blob_sigma: float = 1.0
-    dilation_radius: int = 2
-    interpass_frame_cap: int = 3
-    activity_threshold: float | None = None  # counts; None = derive from profile
-    melt_threshold: float | None = None  # counts; None = derive from profile
-    melt_emissivity: float = 0.1
     spatter_floor_sigmas: float = 6.0
 
-    def activity(self, profile: CalibrationProfile) -> float:
-        if self.activity_threshold is not None:
-            return self.activity_threshold
-        # melt-onset temperature seen through the low as-printed emissivity:
-        # far above any unscanned pixel, below every laser peak
-        return forward_counts(660.0, profile.emissivity_printed, profile)
 
-    def melt(self, profile: CalibrationProfile) -> float:
-        if self.melt_threshold is not None:
-            return self.melt_threshold
-        return forward_counts(660.0, self.melt_emissivity, profile)
+MELT_ONSET_C = 660.0
+MELT_EMISSIVITY = 0.1
+INTERPASS_FRAME_CAP = 3
+SPATTER_MASK_SIGMA = 3.0  # px, gradient scale of the scan mask
+SPATTER_BLOB_SIGMA = 1.0  # px, LoG scale of a spatter blob
+SPATTER_DILATION_PX = 2
+
+
+def activity_threshold(profile: CalibrationProfile) -> float:
+    """Counts above which a pixel is being scanned."""
+    # melt-onset temperature seen through the low as-printed emissivity:
+    # far above any unscanned pixel, below every laser peak
+    return forward_counts(MELT_ONSET_C, profile.emissivity_printed, profile)
+
+
+def melt_threshold(profile: CalibrationProfile) -> float:
+    """Counts above which a pixel counts toward the melt-pool area."""
+    return forward_counts(MELT_ONSET_C, MELT_EMISSIVITY, profile)
 
 
 def _to_temperature(frame, eps: float, profile: CalibrationProfile):
@@ -134,12 +134,9 @@ def _to_temperature(frame, eps: float, profile: CalibrationProfile):
     return values, valid
 
 
-def interpass(
-    stack: LayerStack, profile: CalibrationProfile, params: FeatureParams | None = None
-) -> FeatureMap:
+def interpass(stack: LayerStack, profile: CalibrationProfile) -> FeatureMap:
     """Mean powder-emissivity temperature of the pre-scan frames."""
-    params = params or FeatureParams()
-    thr = params.activity(profile)
+    thr = activity_threshold(profile)
     k = len(stack)
     for t in range(len(stack)):
         if (stack.frames[t] > thr).any():
@@ -147,7 +144,7 @@ def interpass(
             break
     if k == 0:
         raise NoPrescanError("laser already active in frame 0")
-    k = min(k, params.interpass_frame_cap)
+    k = min(k, INTERPASS_FRAME_CAP)
     acc = np.zeros(stack.shape)
     valid = np.ones(stack.shape, dtype=bool)
     for t in range(k):
@@ -163,11 +160,10 @@ def interpass(
 
 
 def heat_intensity_and_scan_order(
-    stack: LayerStack, profile: CalibrationProfile, params: FeatureParams | None = None
+    stack: LayerStack, profile: CalibrationProfile
 ) -> tuple[FeatureMap, FeatureMap]:
     """Raw-count running maximum (emissivity treated as 1.0) and its frame index."""
-    params = params or FeatureParams()
-    thr = params.activity(profile)
+    thr = activity_threshold(profile)
     state = ReductionState.empty(stack.shape)
     for t in range(len(stack)):
         fold_max_argmax(state, stack.frames[t], t)
@@ -264,11 +260,7 @@ def max_predeposition(
 
 
 def spatter_frame_filter(
-    frame_counts: np.ndarray,
-    mask_sigma: float = 3.0,
-    blob_sigma: float = 1.0,
-    dilation_radius: int = 2,
-    floor_sigmas: float = 6.0,
+    frame_counts: np.ndarray, floor_sigmas: float = 6.0
 ) -> tuple[np.ndarray, LabelGrid]:
     """One-frame spatter candidates: gradient mask, then -LoG blob clusters.
 
@@ -281,14 +273,14 @@ def spatter_frame_filter(
     """
     frame = np.asarray(frame_counts, dtype=np.float64)
     empty = LabelGrid(labels=np.zeros(frame.shape, dtype=np.int32), count=0)
-    grad = imageops.gaussian_gradient_magnitude(frame, mask_sigma)
+    grad = imageops.gaussian_gradient_magnitude(frame, SPATTER_MASK_SIGMA)
     try:
         (g_thr,) = imageops.otsu_thresholds(grad, 2)
     except imageops.DegenerateHistogramError:
         return np.zeros(frame.shape, dtype=bool), empty
-    scan_mask = imageops.dilate_disk(grad > g_thr, dilation_radius)
+    scan_mask = imageops.dilate_disk(grad > g_thr, SPATTER_DILATION_PX)
 
-    neg_log = -imageops.gaussian_laplace(frame, blob_sigma)
+    neg_log = -imageops.gaussian_laplace(frame, SPATTER_BLOB_SIGMA)
     mad = float(np.median(np.abs(neg_log - np.median(neg_log))))
     noise_floor = floor_sigmas * mad / 0.6745
     # one extra ring beyond the mask so the melt spot's own -LoG skirt,
@@ -336,7 +328,7 @@ def spatter_layer(
     landing = np.zeros(stack.shape)
     registry = np.zeros(stack.shape, dtype=bool)
     records: list[SpatterRecord] = []
-    thr = params.activity(profile)
+    thr = activity_threshold(profile)
 
     # landings only matter where geometry gets built, so search a padded
     # window around the scanned region instead of the whole camera frame
@@ -356,15 +348,7 @@ def spatter_layer(
         window = np.asarray(stack.frames[t][roi], dtype=np.float64)
         if float(window.max()) <= thr:
             continue  # no laser in view: nothing is emitting spatter
-        _, clusters = spatter_frame_filter(
-            window,
-            mask_sigma=params.mask_sigma,
-            blob_sigma=params.blob_sigma,
-            dilation_radius=params.dilation_radius,
-            floor_sigmas=params.spatter_floor_sigmas,
-        )
-        laser_here = s == t
-        source = np.argwhere(laser_here)
+        _, clusters = spatter_frame_filter(window, params.spatter_floor_sigmas)
         new_count = 0
         for lbl in range(1, clusters.count + 1):
             px = clusters.labels == lbl
@@ -387,11 +371,10 @@ def spatter_layer(
                     landing_pixels=coords,
                     centroid=(float(coords[:, 1].mean()), float(coords[:, 0].mean())),
                     size=int(px.sum()),
-                    source_pixels=source,
                 )
             )
         if new_count:
-            generation[laser_here] += new_count
+            generation[s == t] += new_count
     valid = s >= 0
     gen_map = FeatureMap(
         feature_id=FeatureId.SPATTER_GENERATION,
@@ -409,15 +392,10 @@ def spatter_layer(
 
 
 def melt_pool_area(
-    stack: LayerStack,
-    scan_order: FeatureMap,
-    profile: CalibrationProfile,
-    threshold_counts: float | None = None,
-    params: FeatureParams | None = None,
+    stack: LayerStack, scan_order: FeatureMap, profile: CalibrationProfile
 ) -> FeatureMap:
     """Per-frame super-threshold pixel count written to that frame's laser pixels."""
-    params = params or FeatureParams()
-    thr = threshold_counts if threshold_counts is not None else params.melt(profile)
+    thr = melt_threshold(profile)
     s = _scan_frames(scan_order)
     grid = np.full(stack.shape, np.nan)
     for t in range(len(stack)):
@@ -514,8 +492,8 @@ def extract_layer(
 ) -> LayerFeatures:
     """Run every extractor for one layer. All feature ids are always present."""
     params = params or FeatureParams()
-    intensity, order = heat_intensity_and_scan_order(stack, profile, params)
-    ip = interpass(stack, profile, params)
+    intensity, order = heat_intensity_and_scan_order(stack, profile)
+    ip = interpass(stack, profile)
     maps: dict[FeatureId, FeatureMap] = {
         FeatureId.HEAT_INTENSITY: intensity,
         FeatureId.SCAN_ORDER: order,
@@ -526,7 +504,7 @@ def extract_layer(
         FeatureId.MAX_PREDEPOSITION: max_predeposition(
             stack, order, profile, params.offset_frames
         ),
-        FeatureId.MELT_POOL_AREA: melt_pool_area(stack, order, profile, params=params),
+        FeatureId.MELT_POOL_AREA: melt_pool_area(stack, order, profile),
         FeatureId.COOLING_RATE: cooling_rate(
             stack, order, profile, params.cooling_window
         ),

@@ -130,9 +130,6 @@ class LabelGrid:
     labels: np.ndarray
     count: int
 
-    def pixels_of(self, label: int) -> np.ndarray:
-        return np.argwhere(self.labels == label)
-
 
 _OFFSETS_4 = ((-1, 0), (0, -1))
 _OFFSETS_8 = ((-1, 0), (0, -1), (-1, -1), (-1, 1))

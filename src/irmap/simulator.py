@@ -222,7 +222,7 @@ def render_frames(
     profile: CalibrationProfile,
     spatters: SpatterSchedule | None = None,
     homography: Homography | None = None,
-    noise_sigma: float = 0.0,
+    noise_percent: float = 0.0,
     fps: float = 30.0,
     prescan_frames: int = 3,
     tail_frames: int = 35,
@@ -234,6 +234,8 @@ def render_frames(
     The emissivity of each pixel flips from powder to as-printed after the
     frame in which its true temperature peaks. The raw camera view is the
     truth warped through the inverse of the distortion-correcting homography.
+    Camera noise is Gaussian with a standard deviation of noise_percent of the
+    layer's rendered count range, drawn from `seed`.
     """
     w, h = dims
     spatters = spatters or SpatterSchedule()
@@ -320,13 +322,14 @@ def render_frames(
             warped = warp_frame(frames[k], inv, (w, h))
             frames[k] = np.where(warped.valid, warped.values, fill)
 
-    if noise_sigma > 0:
+    stack = LayerStack(frames=frames, fps=fps, layer=layer, recoat_boundary=0)
+    del frames  # free the float32 copy before the noise pass allocates
+    if noise_percent > 0:
+        sigma = noise_percent / 100.0 * float(stack.frames.max() - stack.frames.min())
         rng = np.random.default_rng(seed)
         for k in range(n):  # frame at a time to bound the noise buffer
-            noisy = frames[k] + rng.normal(0.0, noise_sigma, (h, w))
-            frames[k] = np.clip(noisy, 1.0, 65535.0)
-
-    stack = LayerStack(frames=frames, fps=fps, layer=layer, recoat_boundary=0)
+            noisy = stack.frames[k] + rng.normal(0.0, sigma, (h, w))
+            stack.frames[k] = np.clip(noisy, 1.0, 65535.0)
     gt = GroundTruth(
         true_scan_order=scan_order,
         spatter_events=list(spatters.events),

@@ -275,6 +275,10 @@ def read_layer_stack(path):
         data = f.read()
     if data[:4] != STACK_MAGIC:
         raise StoreFormatError(f"bad stack magic {data[:4]!r}")
+    if len(data) < 28:
+        raise StoreCorruptionError(
+            f"stack header truncated: {len(data)} bytes, expected 28", offset=len(data)
+        )
     version, w, h, n, fps, recoat = struct.unpack_from("<IIIIfI", data, 4)
     if version != STACK_VERSION:
         raise StoreFormatError(f"unsupported stack version {version}")

@@ -1,11 +1,12 @@
-import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from irmap.cli import main
+from irmap.cli import RunConfig, load_config, main
 from irmap.geometry import box_mesh, mesh_to_binary_stl
-from irmap.radiometry import CalibrationProfile, forward_counts
+from irmap.radiometry import CalibrationProfile, forward_counts, profile_to_text
+from irmap.store import write_layer_stack
 
 MINI_CONFIG = """\
 [run]
@@ -32,6 +33,96 @@ prescan_frames = 3
 tail_frames = 35
 spatter_count = 0
 """
+
+
+# every config key, each set to a value other than its default
+FULL_CONFIG = """\
+[run]
+out = other.irvx
+frames_dir = frames
+seed = 11
+jobs = 3
+layers = 1..2
+features = interpass,scan_order
+profile = cal.profile
+
+[geometry]
+stl = part.stl
+pitch_um = 300,310,30
+
+[camera]
+width = 320
+height = 200
+origin_x = 100
+origin_y = 90
+fps = 60
+
+[scan]
+scan_speed_mm_s = 800
+hatch_um = 90
+stripe_width_mm = 5
+stripe_overlap_mm = 0.1
+rotation_per_layer_deg = 45
+layer_thickness_um = 30
+
+[thermal]
+ambient_c = 100
+peak_c = 1500
+footprint_px = 2
+decay_s = 0.05
+
+[simulation]
+noise_percent = 2.5
+prescan_frames = 4
+tail_frames = 20
+spatter_count = 5
+spatter_peak_dt_c = 300
+spatter_decay_s = 0.2
+
+[features]
+offset_frames = 8
+cooling_window = 20
+spatter_floor_sigmas = 5
+"""
+
+FULL_CONFIG_FIELDS = {
+    "out": "other.irvx",
+    "frames_dir": "frames",
+    "seed": 11,
+    "jobs": 3,
+    "layer_lo": 1,
+    "layer_hi": 2,
+    "features": (1, 3),
+    "profile_path": "cal.profile",
+    "stl": "part.stl",
+    "pitch_x_um": 300.0,
+    "pitch_y_um": 310.0,
+    "pitch_z_um": 30.0,
+    "cam_width": 320,
+    "cam_height": 200,
+    "origin_x": 100,
+    "origin_y": 90,
+    "fps": 60.0,
+    "scan_speed_mm_s": 800.0,
+    "hatch_um": 90.0,
+    "stripe_width_mm": 5.0,
+    "stripe_overlap_mm": 0.1,
+    "rotation_per_layer_deg": 45.0,
+    "layer_thickness_um": 30.0,
+    "ambient_c": 100.0,
+    "peak_c": 1500.0,
+    "footprint_px": 2.0,
+    "decay_s": 0.05,
+    "noise_percent": 2.5,
+    "prescan_frames": 4,
+    "tail_frames": 20,
+    "spatter_count": 5,
+    "spatter_peak_dt_c": 300.0,
+    "spatter_decay_s": 0.2,
+    "offset_frames": 8,
+    "cooling_window": 20,
+    "spatter_floor_sigmas": 5.0,
+}
 
 
 @pytest.fixture
@@ -68,6 +159,59 @@ class TestExitCodes:
             ]
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "flags, ini_edit, message",
+        [
+            (["--jobs", "0"], None, "jobs must be at least 1"),
+            (["--jobs", "-3"], None, "jobs must be at least 1"),
+            ([], ("360,360,40", "360,abc,40"), "geometry.pitch_um"),
+            ([], ("[camera]", "[bogus]\n[camera]"), "unknown config section [bogus]"),
+            (
+                [],
+                ("[camera]", "[camera]\nbogus = 1"),
+                "unknown key 'bogus' in section [camera]",
+            ),
+        ],
+        ids=["jobs-zero", "jobs-negative", "pitch-not-a-number", "section", "key"],
+    )
+    def test_bad_config_value(self, mini_build, capsys, flags, ini_edit, message):
+        cfg = mini_build / "mini.ini"
+        if ini_edit:
+            cfg.write_text(cfg.read_text().replace(*ini_edit))
+        assert main(["extract", "--config", str(cfg), *flags]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_every_config_key_loads(self, tmp_path):
+        part = mesh_to_binary_stl(box_mesh((3.6, 3.6, 0.08)))
+        (tmp_path / "part.stl").write_bytes(part)
+        calibration = CalibrationProfile(emissivity_powder=0.5)
+        (tmp_path / "cal.profile").write_text(profile_to_text(calibration))
+        (tmp_path / "full.ini").write_text(FULL_CONFIG)
+        cfg = load_config(str(tmp_path / "full.ini"))
+        settable = {f.name for f in fields(RunConfig)} - {"config_dir", "config_sha256"}
+        assert set(FULL_CONFIG_FIELDS) == settable
+        default = RunConfig()
+        for name, value in FULL_CONFIG_FIELDS.items():
+            assert getattr(default, name) != value, name
+            assert getattr(cfg, name) == value, name
+        assert cfg.profile == calibration
+
+    @pytest.mark.parametrize("defect", ["frame-dims", "short-header"])
+    def test_bad_frame_stack_is_data_error(self, mini_build, capsys, defect):
+        frames = mini_build / "frames"
+        frames.mkdir()
+        stack = frames / "layer_0000.irfs"
+        if defect == "frame-dims":  # [camera] is 64x64
+            ambient = forward_counts(80.0, 0.63, CalibrationProfile())
+            write_layer_stack(stack, np.full((40, 32, 32), ambient))
+        else:
+            stack.write_bytes(b"IRFS" + bytes(10))
+        cfg = mini_build / "mini.ini"
+        cfg.write_text(MINI_CONFIG.format(frames_dir="frames"))
+        assert main(["extract", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert "layer 0" in err and "layer_0000.irfs" in err
 
     def test_corrupt_store_is_data_error(self, tmp_path, mini_build):
         code = main(["extract", "--config", str(mini_build / "mini.ini")])

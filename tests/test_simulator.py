@@ -69,7 +69,7 @@ class TestRender:
         mask = small_mask()
         path = generate_scan_path(mask, ScanParameters(), 0)
         stack, truth = render_frames(
-            path, (64, 48), ThermalParams(), profile, noise_sigma=0.0
+            path, (64, 48), ThermalParams(), profile, noise_percent=0.0
         )
         amb_counts = forward_counts(80.0, profile.emissivity_powder, profile)
         for t in range(3):
@@ -79,14 +79,14 @@ class TestRender:
         mask = small_mask()
         path = generate_scan_path(mask, ScanParameters(), 0)
         a, _ = render_frames(
-            path, (64, 48), ThermalParams(), profile, noise_sigma=25.0, seed=7
+            path, (64, 48), ThermalParams(), profile, noise_percent=25.0, seed=7
         )
         b, _ = render_frames(
-            path, (64, 48), ThermalParams(), profile, noise_sigma=25.0, seed=7
+            path, (64, 48), ThermalParams(), profile, noise_percent=25.0, seed=7
         )
         assert np.array_equal(a.frames, b.frames)
         c, _ = render_frames(
-            path, (64, 48), ThermalParams(), profile, noise_sigma=25.0, seed=8
+            path, (64, 48), ThermalParams(), profile, noise_percent=25.0, seed=8
         )
         assert not np.array_equal(a.frames, c.frames)
 
