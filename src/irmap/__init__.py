@@ -1,8 +1,8 @@
 """Layer-wise radiometric feature extraction for powder bed fusion builds.
 
-Converts per-layer infrared frame stacks into calibrated, perspective
-corrected, geometry-registered per-voxel features, with a synthetic build
-simulator supplying ground truth for every stage.
+Converts per-layer infrared frame stacks into calibrated, geometry-registered
+per-voxel features, with a synthetic build simulator supplying ground truth
+for every stage.
 """
 
 from .errors import (

@@ -20,7 +20,8 @@ import numpy as np
 
 from . import features as feat
 from . import geometry, radiometry, simulator, spatial, store
-from .errors import ConfigError, DataError, IrmapError, StoreFormatError
+from .errors import ConfigError, DataError, DegeneracyError, HorizonError
+from .errors import IllConditionedError, IrmapError, StoreFormatError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -225,8 +226,9 @@ class PipelineResult:
     layers: list[LayerResult] = field(default_factory=list)
 
 
-def _simulate_layer(cfg: RunConfig, vox: geometry.VoxelMesh, layer: int):
-    """Render one layer's raw frame stack plus its ground truth."""
+def _simulate_layer(cfg: RunConfig, vox: geometry.VoxelMesh, layer: int, crop: bool = True):
+    """Render one layer's raw frame stack plus its ground truth; with `crop`,
+    render the layer's part window only."""
     reg = cfg.registration()
     mask = geometry.layer_mask(vox, layer, reg)
     path = simulator.generate_scan_path(mask, cfg.scan_params(), layer)
@@ -248,6 +250,7 @@ def _simulate_layer(cfg: RunConfig, vox: geometry.VoxelMesh, layer: int):
         cfg.params(simulator.ThermalParams),
         cfg.profile,
         spatters=schedule,
+        window=mask.window(feat.WINDOW_PAD) if crop else None,
         noise_percent=cfg.noise_percent,
         fps=cfg.fps,
         prescan_frames=cfg.prescan_frames,
@@ -255,12 +258,12 @@ def _simulate_layer(cfg: RunConfig, vox: geometry.VoxelMesh, layer: int):
         seed=cfg.seed + 9973 * layer,
         layer=layer,
     )
-    truth.true_temperatures = None  # keep the multi-layer run light on memory
     return stack, truth, mask
 
 
 def _load_layer(cfg: RunConfig, vox: geometry.VoxelMesh, layer: int):
-    """Read one layer's frame stack from a directory of stack files."""
+    """Read one layer's frame stack from a directory of stack files, cropped
+    to the layer's part window."""
     import os
 
     reg = cfg.registration()
@@ -277,7 +280,10 @@ def _load_layer(cfg: RunConfig, vox: geometry.VoxelMesh, layer: int):
             f"layer {layer}: {path}: frames are {frames.shape[2]}x{frames.shape[1]} px, "
             f"[camera] is {cfg.cam_width}x{cfg.cam_height}"
         )
-    stack = feat.LayerStack(frames=frames, fps=fps, layer=layer, recoat_boundary=recoat)
+    rows, cols = mask.window(feat.WINDOW_PAD)
+    stack = feat.LayerStack(
+        frames[:, rows, cols], fps, layer, recoat, origin=(rows.start, cols.start)
+    )
     return stack, None, mask
 
 
@@ -469,9 +475,11 @@ def write_demo(out_dir: str) -> str:
 
 
 def _cmd_calibrate_spatial(args) -> int:
-    with open(args.points, encoding="utf-8") as fh:
-        pairs = spatial.parse_correspondences(fh.read())
-    h = spatial.estimate_homography(pairs)
+    try:
+        with open(args.points, encoding="utf-8") as fh:
+            h = spatial.estimate_homography(spatial.parse_correspondences(fh.read()))
+    except (ValueError, DegeneracyError, HorizonError) as exc:
+        raise DataError(f"{args.points}: {exc}") from exc
     print("homography (row-major):")
     for row in h.matrix:
         print("  " + " ".join(f"{v: .10g}" for v in row))
@@ -484,19 +492,24 @@ def _cmd_calibrate_spatial(args) -> int:
 def _read_samples(path: str) -> list[tuple[float, float]]:
     out = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
-            t, c = (float(v) for v in line.split(","))
+            try:
+                t, c = (float(v) for v in line.split(","))
+            except ValueError as exc:
+                raise DataError(f"{path}: line {lineno}: expected temp_c,counts ({exc})") from exc
             out.append((c, t))  # fit consumes (counts, reference temp)
     return out
 
 
 def _cmd_calibrate_thermal(args) -> int:
     profile = radiometry.CalibrationProfile()
-    samples = _read_samples(args.samples)
-    eps, resid = radiometry.fit_emissivity(samples, profile)
+    try:
+        eps, resid = radiometry.fit_emissivity(_read_samples(args.samples), profile)
+    except (ValueError, IllConditionedError) as exc:
+        raise DataError(f"{args.samples}: {exc}") from exc
     print(f"fitted emissivity: {eps:.4f} (residual std {resid:.3f} degC)")
     if args.out:
         if args.surface == "powder":
@@ -537,7 +550,7 @@ def _cmd_simulate(args) -> int:
     vox = _voxelize_config(cfg)
     os.makedirs(args.out_dir, exist_ok=True)
     for layer in _layer_range(cfg, vox):
-        stack, truth, _mask = _simulate_layer(cfg, vox, layer)
+        stack, truth, _mask = _simulate_layer(cfg, vox, layer, crop=False)
         store.write_layer_stack(
             os.path.join(args.out_dir, f"layer_{layer:04d}.irfs"),
             stack.frames,

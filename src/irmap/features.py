@@ -1,6 +1,8 @@
-"""Per-layer IR feature extractors over an ordered, corrected frame stack.
+"""Per-layer IR feature extractors over an ordered frame stack.
 
-Every extractor returns a FeatureMap aligned to the corrected pixel grid.
+Every extractor returns a FeatureMap aligned to the stack's frames, which
+hold the layer's part window; `extract_layer` puts the maps back on the
+camera frame.
 A single laser-activity count threshold (counts of a 660 degC blackbody at
 unit emissivity) defines "scanned" everywhere: the interpass cutoff, the
 unscanned sentinel, and the scalar-assignment target pixels.
@@ -17,7 +19,7 @@ from . import imageops
 from .errors import NoPrescanError, ParameterError
 from .geometry import LayerMask
 from .imageops import LabelGrid, ReductionState, fold_max_argmax
-from .radiometry import CalibrationProfile, SurfaceClass, forward_counts, invert_counts_array
+from .radiometry import CalibrationProfile, forward_counts, invert_counts_array
 
 UNSCANNED = -1
 
@@ -53,12 +55,13 @@ FEATURE_UNITS = {
 
 @dataclass
 class LayerStack:
-    """Ordered perspective-corrected radiometric frames for one layer."""
+    """Ordered radiometric frames of one layer: the camera frame, or a window of it."""
 
     frames: np.ndarray  # (n, h, w) counts, float64
     fps: float = 30.0
     layer: int = 0
     recoat_boundary: int = 0
+    origin: tuple[int, int] = (0, 0)  # camera (row, col) of frames[:, 0, 0]
 
     def __post_init__(self):
         self.frames = np.asarray(self.frames, dtype=np.float64)
@@ -92,8 +95,8 @@ class FeatureMap:
 @dataclass
 class SpatterRecord:
     frame: int
-    landing_pixels: np.ndarray  # (n, 2) array of (y, x)
-    centroid: tuple[float, float]  # (x, y)
+    landing_pixels: np.ndarray  # (n, 2) array of camera (y, x)
+    centroid: tuple[float, float]  # camera (x, y)
     size: int
 
 
@@ -112,6 +115,9 @@ INTERPASS_FRAME_CAP = 3
 SPATTER_MASK_SIGMA = 3.0  # px, gradient scale of the scan mask
 SPATTER_BLOB_SIGMA = 1.0  # px, LoG scale of a spatter blob
 SPATTER_DILATION_PX = 2
+# the widest extractor kernel radius (the scan-mask gradient): a window this
+# far around the part gives every part pixel its whole-frame filter response
+WINDOW_PAD = int(np.ceil(4 * SPATTER_MASK_SIGMA))
 
 
 def activity_threshold(profile: CalibrationProfile) -> float:
@@ -187,17 +193,6 @@ def _scan_frames(scan_order: FeatureMap) -> np.ndarray:
     return np.where(scan_order.validity, scan_order.grid, UNSCANNED).astype(np.int64)
 
 
-def _bbox_slices(selected: np.ndarray) -> tuple[slice, slice]:
-    """Bounding-box slices of the True pixels (whole frame when empty)."""
-    ys, xs = np.nonzero(selected)
-    if len(xs) == 0:
-        return slice(0, selected.shape[0]), slice(0, selected.shape[1])
-    return (
-        slice(int(ys.min()), int(ys.max()) + 1),
-        slice(int(xs.min()), int(xs.max()) + 1),
-    )
-
-
 def local_predeposition(
     stack: LayerStack,
     scan_order: FeatureMap,
@@ -210,14 +205,9 @@ def local_predeposition(
     target = np.maximum(s - offset, 0)
     clamped = valid & (s < offset)
     grid = np.full(stack.shape, np.nan)
-    roi = _bbox_slices(valid)
-    v_roi, t_roi, g_roi = valid[roi], target[roi], grid[roi]
-    for t in np.unique(t_roi[v_roi]):
-        values, _ = _to_temperature(
-            stack.frames[t][roi], profile.emissivity_powder, profile
-        )
-        sel = v_roi & (t_roi == t)
-        g_roi[sel] = values[sel]
+    for t in np.unique(target[valid]):
+        sel = valid & (target == t)
+        grid[sel], _ = _to_temperature(stack.frames[t][sel], profile.emissivity_powder, profile)
     return FeatureMap(
         feature_id=FeatureId.LOCAL_PREDEPOSITION,
         layer=stack.layer,
@@ -239,17 +229,12 @@ def max_predeposition(
     target = np.maximum(s - offset, 0)
     clamped = valid & (s < offset)
     grid = np.full(stack.shape, np.nan)
-    roi = _bbox_slices(valid)
-    v_roi, t_roi, g_roi = valid[roi], target[roi], grid[roi]
-    running = np.full(v_roi.shape, -np.inf)
-    last = int(t_roi[v_roi].max()) if v_roi.any() else -1
-    for t in range(last + 1):
-        values, _ = _to_temperature(
-            stack.frames[t][roi], profile.emissivity_powder, profile
-        )
+    part_target = target[valid]  # the running maximum is kept for valid pixels only
+    running = np.full(part_target.shape, -np.inf)
+    for t in range(int(part_target.max()) + 1 if valid.any() else 0):
+        values, _ = _to_temperature(stack.frames[t][valid], profile.emissivity_powder, profile)
         running = np.maximum(running, values)
-        sel = v_roi & (t_roi == t)
-        g_roi[sel] = running[sel]
+        grid[valid & (target == t)] = running[part_target == t]
     return FeatureMap(
         feature_id=FeatureId.MAX_PREDEPOSITION,
         layer=stack.layer,
@@ -330,41 +315,26 @@ def spatter_layer(
     records: list[SpatterRecord] = []
     thr = activity_threshold(profile)
 
-    # landings only matter where geometry gets built, so search a padded
-    # window around the scanned region instead of the whole camera frame
-    sy, sx = np.nonzero(s >= 0)
-    if len(sx) == 0:
-        roi = (slice(0, stack.shape[0]), slice(0, stack.shape[1]))
-    else:
-        pad = 12
-        roi = (
-            slice(max(0, sy.min() - pad), min(stack.shape[0], sy.max() + pad + 1)),
-            slice(max(0, sx.min() - pad), min(stack.shape[1], sx.max() + pad + 1)),
-        )
-    y0, x0 = roi[0].start, roi[1].start
-    s_roi = s[roi]
-
     for t in range(len(stack)):
-        window = np.asarray(stack.frames[t][roi], dtype=np.float64)
-        if float(window.max()) <= thr:
+        frame = stack.frames[t]
+        if float(frame.max()) <= thr:
             continue  # no laser in view: nothing is emitting spatter
-        _, clusters = spatter_frame_filter(window, params.spatter_floor_sigmas)
+        _, clusters = spatter_frame_filter(frame, params.spatter_floor_sigmas)
         new_count = 0
         for lbl in range(1, clusters.count + 1):
             px = clusters.labels == lbl
-            if registry[roi][px].any():
+            if registry[px].any():
                 continue  # seen in an earlier frame; count once
             # the melt front itself sculpts blob-like edges at line ends and
             # corners; anything whose surroundings are being scanned right
             # now is the laser, not a landing on powder
-            near_s = s_roi[imageops.dilate_disk(px, 2)]
+            near_s = s[imageops.dilate_disk(px, 2)]
             if ((near_s >= 0) & (np.abs(near_s - t) <= 3)).any():
                 continue
-            coords = np.argwhere(px)
-            coords = coords + np.array([y0, x0])
             new_count += 1
-            landing[coords[:, 0], coords[:, 1]] += 1.0
-            registry[coords[:, 0], coords[:, 1]] = True
+            landing[px] += 1.0
+            registry[px] = True
+            coords = np.argwhere(px) + np.array(stack.origin)
             records.append(
                 SpatterRecord(
                     frame=t,
@@ -394,14 +364,17 @@ def spatter_layer(
 def melt_pool_area(
     stack: LayerStack, scan_order: FeatureMap, profile: CalibrationProfile
 ) -> FeatureMap:
-    """Per-frame super-threshold pixel count written to that frame's laser pixels."""
+    """Per frame, the size of the super-threshold region 8-connected to that
+    frame's laser pixels (not noise or spatter elsewhere), written to them."""
     thr = melt_threshold(profile)
     s = _scan_frames(scan_order)
     grid = np.full(stack.shape, np.nan)
-    for t in range(len(stack)):
-        area = float((stack.frames[t] > thr).sum())
-        grid[s == t] = area
     valid = s >= 0
+    for t in np.unique(s[valid]):
+        laser = s == t
+        hot = imageops.label_components((stack.frames[t] > thr).astype(np.uint8), 8)
+        pools = np.unique(hot.labels[laser])
+        grid[laser] = float(np.bincount(hot.labels.ravel())[pools[pools > 0]].sum())
     return FeatureMap(
         feature_id=FeatureId.MELT_POOL_AREA, layer=stack.layer, grid=grid, validity=valid
     )
@@ -422,58 +395,36 @@ def cooling_rate(
     valid = (s >= 0) & (s + window < n)
     grid = np.full(stack.shape, np.nan)
     eps = profile.emissivity_printed
-    roi = _bbox_slices(valid)
-    v_roi, s_roi, g_roi = valid[roi], s[roi], grid[roi]
-    temps: dict[int, np.ndarray] = {}
-
-    def temp_at(t: int) -> np.ndarray:
-        if t not in temps:
-            temps[t] = _to_temperature(stack.frames[t][roi], eps, profile)[0]
-        return temps[t]
-
-    for t in np.unique(s_roi[v_roi]):
-        sel = v_roi & (s_roi == t)
-        g_roi[sel] = (temp_at(int(t))[sel] - temp_at(int(t) + window)[sel]) * (
-            stack.fps / window
-        )
+    for t in np.unique(s[valid]):
+        sel = valid & (s == t)
+        hot, _ = _to_temperature(stack.frames[t][sel], eps, profile)
+        cooled, _ = _to_temperature(stack.frames[t + window][sel], eps, profile)
+        grid[sel] = (hot - cooled) * (stack.fps / window)
     return FeatureMap(
         feature_id=FeatureId.COOLING_RATE, layer=stack.layer, grid=grid, validity=valid
     )
 
 
-def interpass_laplacian(
-    interpass_map: FeatureMap, mask: LayerMask | None = None, sigma: float = 1.0
-) -> FeatureMap:
+def interpass_laplacian(interpass_map: FeatureMap, sigma: float = 1.0) -> FeatureMap:
     """Laplacian-of-Gaussian of the interpass field; flags recoat anomalies."""
-    grid = imageops.gaussian_laplace(interpass_map.grid, sigma)
-    validity = interpass_map.validity.copy()
-    if mask is not None:
-        validity &= mask.pixel_mask()
     return FeatureMap(
         feature_id=FeatureId.INTERPASS_LAPLACIAN,
         layer=interpass_map.layer,
-        grid=grid,
-        validity=validity,
+        grid=imageops.gaussian_laplace(interpass_map.grid, sigma),
+        validity=interpass_map.validity.copy(),
     )
 
 
 def asprinted_laplacian(
-    stack: LayerStack,
-    profile: CalibrationProfile,
-    mask: LayerMask | None = None,
-    sigma: float = 1.0,
+    stack: LayerStack, profile: CalibrationProfile, sigma: float = 1.0
 ) -> FeatureMap:
     """LoG of the final frame converted at as-printed emissivity."""
     temp, ok = _to_temperature(stack.frames[-1], profile.emissivity_printed, profile)
-    grid = imageops.gaussian_laplace(temp, sigma)
-    validity = ok
-    if mask is not None:
-        validity = validity & mask.pixel_mask()
     return FeatureMap(
         feature_id=FeatureId.ASPRINTED_LAPLACIAN,
         layer=stack.layer,
-        grid=grid,
-        validity=validity,
+        grid=imageops.gaussian_laplace(temp, sigma),
+        validity=ok,
     )
 
 
@@ -484,13 +435,23 @@ class LayerFeatures:
     spatter_records: list[SpatterRecord]
 
 
+def _on_camera(values: np.ndarray, window: tuple[slice, slice], shape, fill) -> np.ndarray:
+    out = np.full(shape, fill, dtype=values.dtype)
+    out[window] = values
+    return out
+
+
 def extract_layer(
     stack: LayerStack,
     profile: CalibrationProfile,
     mask: LayerMask | None = None,
     params: FeatureParams | None = None,
 ) -> LayerFeatures:
-    """Run every extractor for one layer. All feature ids are always present."""
+    """Run every extractor on the stack's window. All feature ids are always present.
+
+    With a mask, every map is put back on the camera frame (NaN and invalid
+    outside the window) and the two Laplacians are valid on the part only.
+    """
     params = params or FeatureParams()
     intensity, order = heat_intensity_and_scan_order(stack, profile)
     ip = interpass(stack, profile)
@@ -508,10 +469,21 @@ def extract_layer(
         FeatureId.COOLING_RATE: cooling_rate(
             stack, order, profile, params.cooling_window
         ),
-        FeatureId.INTERPASS_LAPLACIAN: interpass_laplacian(ip, mask),
-        FeatureId.ASPRINTED_LAPLACIAN: asprinted_laplacian(stack, profile, mask),
+        FeatureId.INTERPASS_LAPLACIAN: interpass_laplacian(ip),
+        FeatureId.ASPRINTED_LAPLACIAN: asprinted_laplacian(stack, profile),
     }
     gen, land, records = spatter_layer(stack, order, profile, params)
     maps[FeatureId.SPATTER_GENERATION] = gen
     maps[FeatureId.SPATTER_LANDING] = land
+    if mask is not None:
+        part = mask.pixel_mask()
+        (y0, x0), (h, w) = stack.origin, stack.shape
+        window = (slice(y0, y0 + h), slice(x0, x0 + w))
+        for fmap in maps.values():
+            fmap.grid = _on_camera(fmap.grid, window, part.shape, np.nan)
+            fmap.validity = _on_camera(fmap.validity, window, part.shape, False)
+            for name, flag in fmap.flags.items():
+                fmap.flags[name] = _on_camera(flag, window, part.shape, False)
+        maps[FeatureId.INTERPASS_LAPLACIAN].validity &= part
+        maps[FeatureId.ASPRINTED_LAPLACIAN].validity &= part
     return LayerFeatures(layer=stack.layer, maps=maps, spatter_records=records)

@@ -314,6 +314,17 @@ class LayerMask:
         m[self.pix_y, self.pix_x] = True
         return m
 
+    def window(self, pad: int) -> tuple[slice, slice]:
+        """(rows, cols) of the mask's pixel bounding box grown by `pad` px and
+        clipped to the frame; the whole frame when the mask is empty."""
+        w, h = self.registration.dims
+        if not len(self):
+            return slice(0, h), slice(0, w)
+        return (
+            slice(max(0, int(self.pix_y.min()) - pad), min(h, int(self.pix_y.max()) + pad + 1)),
+            slice(max(0, int(self.pix_x.min()) - pad), min(w, int(self.pix_x.max()) + pad + 1)),
+        )
+
 
 def layer_mask(vox: VoxelMesh, layer: int, reg: PixelGridFrame) -> LayerMask:
     """Register one voxel layer to pixel coordinates (1 voxel = 1 pixel).

@@ -18,7 +18,6 @@ from .errors import ParameterError
 from .features import UNSCANNED, LayerStack
 from .geometry import LayerMask
 from .radiometry import CalibrationProfile, forward_counts
-from .spatial import Homography, warp_frame
 
 
 @dataclass(frozen=True)
@@ -193,23 +192,22 @@ def generate_scan_path(
 class GroundTruth:
     true_scan_order: np.ndarray  # frame index per pixel, -1 unscanned
     spatter_events: list[SpatterEvent]
-    true_interpass: np.ndarray  # degC
     emissivity_map: np.ndarray  # final per-pixel emissivity
-    applied_homography: Homography
-    true_temperatures: np.ndarray | None = None  # (n, h, w) pre-warp degC
 
 
-def _deposit(field_arr: np.ndarray, x: float, y: float, amp: float, sigma: float):
-    h, w = field_arr.shape
+def _deposit(field_arr, x: float, y: float, amp: float, sigma: float, origin):
+    """Add a Gaussian bump centred on camera pixel (x, y) to a field whose
+    [0, 0] element is camera pixel `origin` (row, col)."""
+    (oy, ox), (h, w) = origin, field_arr.shape
     r = int(math.ceil(4 * sigma)) + 1
-    x0, x1 = max(0, int(x) - r), min(w, int(x) + r + 1)
-    y0, y1 = max(0, int(y) - r), min(h, int(y) + r + 1)
+    x0, x1 = max(ox, int(x) - r), min(ox + w, int(x) + r + 1)
+    y0, y1 = max(oy, int(y) - r), min(oy + h, int(y) + r + 1)
     if x0 >= x1 or y0 >= y1:
         return
     gx = np.arange(x0, x1) - x
     gy = np.arange(y0, y1) - y
     bump = np.exp(-0.5 * ((gx[None, :] ** 2 + gy[:, None] ** 2) / sigma**2))
-    field_arr[y0:y1, x0:x1] += amp * bump
+    field_arr[y0 - oy : y1 - oy, x0 - ox : x1 - ox] += amp * bump
 
 
 SPATTER_SIGMA_PX = 0.7
@@ -221,7 +219,7 @@ def render_frames(
     thermal: ThermalParams,
     profile: CalibrationProfile,
     spatters: SpatterSchedule | None = None,
-    homography: Homography | None = None,
+    window: tuple[slice, slice] | None = None,
     noise_percent: float = 0.0,
     fps: float = 30.0,
     prescan_frames: int = 3,
@@ -232,14 +230,16 @@ def render_frames(
     """Render a layer's raw count frames plus the matching ground truth.
 
     The emissivity of each pixel flips from powder to as-printed after the
-    frame in which its true temperature peaks. The raw camera view is the
-    truth warped through the inverse of the distortion-correcting homography.
-    Camera noise is Gaussian with a standard deviation of noise_percent of the
-    layer's rendered count range, drawn from `seed`.
+    frame in which its true temperature peaks. Only the camera pixels in
+    `window` (rows, cols; default the whole frame) are rendered, and each
+    holds the value a whole-frame render gives it; the ground truth stays on
+    the whole camera frame. Camera noise is Gaussian with a standard
+    deviation of noise_percent of the rendered count range, drawn from `seed`.
     """
     w, h = dims
     spatters = spatters or SpatterSchedule()
-    homography = homography or Homography.identity()
+    rows, cols = window or (slice(0, h), slice(0, w))
+    origin = (rows.start, cols.start)
     amb = np.broadcast_to(
         np.asarray(thermal.ambient_c, dtype=np.float64), (h, w)
     ).copy()
@@ -260,8 +260,8 @@ def render_frames(
     src_t = path.t_s + offset_s if len(path) else np.empty(0)
     decay_per_frame = math.exp(-(1.0 / fps) / thermal.decay_s)
 
-    truth = np.empty((n, h, w), dtype=np.float32)
-    excess = np.zeros((h, w), dtype=np.float64)
+    truth = np.empty((n,) + amb[rows, cols].shape, dtype=np.float32)
+    excess = np.zeros(truth.shape[1:], dtype=np.float64)
     cursor = 0
     for k in range(n):
         t_k = k / fps
@@ -275,6 +275,7 @@ def render_frames(
                 float(path.y_px[cursor]),
                 math.exp(-age / thermal.decay_s),
                 sigma,
+                origin,
             )
             cursor += 1
         truth[k] = excess
@@ -283,14 +284,17 @@ def render_frames(
         ix = np.clip(np.round(path.x_px).astype(np.int64), 0, w - 1)
         iy = np.clip(np.round(path.y_px).astype(np.int64), 0, h - 1)
         visited[iy, ix] = True
+    seen = visited[rows, cols]
+    if seen.sum() != visited.sum():
+        raise ParameterError("scan path leaves the render window")
     # overlapping hatch lines stack heat, so normalize the excess history to
     # put the median scanned pixel's peak at peak_c (the hottest overlap
     # regions run hotter, as stripe boundaries do)
-    if visited.any():
-        typical = float(np.median(truth[:, visited].max(axis=0)))
+    if seen.any():
+        typical = float(np.median(truth[:, seen].max(axis=0)))
         if typical > 0:
             truth *= (thermal.peak_c - float(np.mean(amb))) / typical
-    truth += amb
+    truth += amb[rows, cols]
     for ev in spatters.events:
         for k in range(ev.emit_frame, n):
             age = (k - ev.emit_frame) / fps
@@ -300,43 +304,34 @@ def render_frames(
                 float(ev.landing_px[1]),
                 ev.peak_dt_c * math.exp(-age / ev.decay_s),
                 SPATTER_SIGMA_PX,
+                origin,
             )
 
     scan_order = np.full((h, w), UNSCANNED, dtype=np.int64)
-    if visited.any():
-        scan_order[visited] = np.argmax(truth[:, visited], axis=0)
+    if seen.any():
+        scan_order[rows, cols][seen] = np.argmax(truth[:, seen], axis=0)
 
     frames = np.empty_like(truth)
     eps_final = np.full((h, w), profile.emissivity_powder)
     for k in range(n):
-        printed = visited & (k > scan_order)
+        printed = seen & (k > scan_order[rows, cols])
         eps = np.where(printed, profile.emissivity_printed, profile.emissivity_powder)
         frames[k] = forward_counts(truth[k], eps, profile)
         if k == n - 1:
-            eps_final = eps
+            eps_final[rows, cols] = eps
 
-    if not homography.is_identity():
-        inv = homography.inverse()
-        fill = float(forward_counts(float(np.mean(amb)), profile.emissivity_powder, profile))
-        for k in range(n):
-            warped = warp_frame(frames[k], inv, (w, h))
-            frames[k] = np.where(warped.valid, warped.values, fill)
-
-    stack = LayerStack(frames=frames, fps=fps, layer=layer, recoat_boundary=0)
+    stack = LayerStack(frames=frames, fps=fps, layer=layer, origin=origin)
     del frames  # free the float32 copy before the noise pass allocates
     if noise_percent > 0:
         sigma = noise_percent / 100.0 * float(stack.frames.max() - stack.frames.min())
         rng = np.random.default_rng(seed)
         for k in range(n):  # frame at a time to bound the noise buffer
-            noisy = stack.frames[k] + rng.normal(0.0, sigma, (h, w))
+            noisy = stack.frames[k] + rng.normal(0.0, sigma, stack.shape)
             stack.frames[k] = np.clip(noisy, 1.0, 65535.0)
     gt = GroundTruth(
         true_scan_order=scan_order,
         spatter_events=list(spatters.events),
-        true_interpass=amb.copy(),
         emissivity_map=eps_final,
-        applied_homography=homography,
-        true_temperatures=truth,
     )
     return stack, gt
 

@@ -42,9 +42,6 @@ class Homography:
     def inverse(self) -> "Homography":
         return Homography.from_matrix(np.linalg.inv(self.matrix))
 
-    def is_identity(self) -> bool:
-        return bool(np.array_equal(self.matrix, np.eye(3)))
-
 
 @dataclass(frozen=True)
 class PointCorrespondence:

@@ -270,7 +270,7 @@ def write_layer_stack(
 
 
 def read_layer_stack(path):
-    """Read a layer stack file; returns (frames float64, fps, recoat_boundary)."""
+    """Read a layer stack file; returns (frames u16, fps, recoat_boundary)."""
     with open(path, "rb") as f:
         data = f.read()
     if data[:4] != STACK_MAGIC:
@@ -282,14 +282,14 @@ def read_layer_stack(path):
     version, w, h, n, fps, recoat = struct.unpack_from("<IIIIfI", data, 4)
     if version != STACK_VERSION:
         raise StoreFormatError(f"unsupported stack version {version}")
+    if n < 1:
+        raise StoreFormatError(f"stack declares {n} frames, need at least 1")
+    if not 0.0 < fps < np.inf:
+        raise StoreFormatError(f"stack frame rate {fps} is not a positive number")
     expected = 28 + n * h * w * 2
     if len(data) < expected:
         raise StoreCorruptionError(
             f"stack truncated: {len(data)} bytes, expected {expected}", offset=len(data)
         )
-    frames = (
-        np.frombuffer(data, dtype="<u2", count=n * h * w, offset=28)
-        .reshape(n, h, w)
-        .astype(np.float64)
-    )
+    frames = np.frombuffer(data, dtype="<u2", count=n * h * w, offset=28).reshape(n, h, w)
     return frames, float(fps), int(recoat)

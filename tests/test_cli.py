@@ -1,3 +1,4 @@
+import struct
 from dataclasses import fields
 
 import numpy as np
@@ -197,21 +198,71 @@ class TestExitCodes:
             assert getattr(cfg, name) == value, name
         assert cfg.profile == calibration
 
-    @pytest.mark.parametrize("defect", ["frame-dims", "short-header"])
+    @pytest.mark.parametrize(
+        "defect", ["frame-dims", "short-header", "zero-frames", "nan-fps"]
+    )
     def test_bad_frame_stack_is_data_error(self, mini_build, capsys, defect):
         frames = mini_build / "frames"
         frames.mkdir()
         stack = frames / "layer_0000.irfs"
+        ambient = forward_counts(80.0, 0.63, CalibrationProfile())
         if defect == "frame-dims":  # [camera] is 64x64
-            ambient = forward_counts(80.0, 0.63, CalibrationProfile())
             write_layer_stack(stack, np.full((40, 32, 32), ambient))
-        else:
+        elif defect == "short-header":
             stack.write_bytes(b"IRFS" + bytes(10))
+        elif defect == "zero-frames":
+            stack.write_bytes(b"IRFS" + struct.pack("<IIIIfI", 1, 64, 64, 0, 30.0, 0))
+        else:
+            write_layer_stack(stack, np.full((40, 64, 64), ambient), fps=float("nan"))
         cfg = mini_build / "mini.ini"
         cfg.write_text(MINI_CONFIG.format(frames_dir="frames"))
         assert main(["extract", "--config", str(cfg)]) == 3
         err = capsys.readouterr().err
         assert "layer 0" in err and "layer_0000.irfs" in err
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("700,abc\n", "line 1"),
+            ("# temp_c,counts\n25,900\n700,5000,1\n", "line 3"),
+            ("700,5000\n", None),
+            ("700,5000\n750,5600\n", None),
+            ("700,5000\n700,5000\n", None),
+            ("\udcff700,5000\n", None),
+        ],
+        ids=[
+            "not-a-number",
+            "three-fields",
+            "one-sample",
+            "narrow-span",
+            "one-temperature",
+            "not-utf8",
+        ],
+    )
+    def test_bad_samples_file_is_data_error(self, tmp_path, capsys, text, where):
+        samples = tmp_path / "samples.csv"
+        samples.write_bytes(text.encode("utf-8", "surrogateescape"))
+        assert main(["calibrate-thermal", "--samples", str(samples)]) == 3
+        err = capsys.readouterr().err
+        assert "samples.csv" in err and (where is None or where in err)
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("-75,-75,100\n", "line 1"),
+            ("# world_x,world_y,image_x,image_y\n-75,-75,100,abc\n", "line 2"),
+            ("-75,-75,100,90\n75,-75,520,85\n75,75,530,400\n", None),
+            ("0,0,0,0\n1,1,1,1\n2,2,2,2\n3,3,3,3\n", None),
+            ("\udcff-75,-75,100,90\n", None),
+        ],
+        ids=["three-fields", "not-a-number", "three-points", "collinear", "not-utf8"],
+    )
+    def test_bad_points_file_is_data_error(self, tmp_path, capsys, text, where):
+        points = tmp_path / "points.txt"
+        points.write_bytes(text.encode("utf-8", "surrogateescape"))
+        assert main(["calibrate-spatial", "--points", str(points)]) == 3
+        err = capsys.readouterr().err
+        assert "points.txt" in err and (where is None or where in err)
 
     def test_corrupt_store_is_data_error(self, tmp_path, mini_build):
         code = main(["extract", "--config", str(mini_build / "mini.ini")])

@@ -3,9 +3,11 @@ import pytest
 
 from irmap.errors import NoPrescanError
 from irmap.features import (
+    WINDOW_PAD,
     FeatureId,
     FeatureParams,
     LayerStack,
+    activity_threshold,
     asprinted_laplacian,
     cooling_rate,
     extract_layer,
@@ -15,8 +17,12 @@ from irmap.features import (
     local_predeposition,
     max_predeposition,
     melt_pool_area,
+    melt_threshold,
 )
+from irmap.geometry import box_mesh, layer_mask, map_layer_feature, voxelize
 from irmap.radiometry import forward_counts
+from irmap.simulator import ScanParameters, ThermalParams, generate_scan_path, render_frames
+from irmap.spatial import PixelGridFrame
 
 
 def counts(t_c, profile, eps=None):
@@ -125,6 +131,17 @@ class TestMeltPool:
         assert area.grid[4, 5] == 2.0
         assert area.grid[10, 10] == 1.0
 
+    def test_isolated_hot_pixel_not_counted(self, profile):
+        frames = ambient_stack(profile, n=20)
+        frames[6, 4:6, 4:6] = counts(1600.0, profile)  # melt spot scanned in frame 6
+        # far from the spot, above the melt threshold but never "scanned"
+        frames[6, 12, 12] = 0.5 * (melt_threshold(profile) + activity_threshold(profile))
+        stack = LayerStack(frames=frames, fps=30.0)
+        _, order = heat_intensity_and_scan_order(stack, profile)
+        area = melt_pool_area(stack, order, profile)
+        assert area.grid[4, 4] == 4.0
+        assert not area.validity[12, 12]
+
 
 class TestCoolingRate:
     def test_exponential_closed_form(self, profile):
@@ -198,3 +215,30 @@ class TestExtractLayer:
         stack = LayerStack(frames=frames, fps=30.0)
         result = extract_layer(stack, profile)
         assert set(result.maps) == set(FeatureId)
+
+    # with noise, the interpass field and both Laplacians vary across the part
+    @pytest.mark.parametrize("noise_percent", [0.0, 1.0])
+    def test_part_window_stores_whole_frame_values(self, profile, noise_percent):
+        vox = voxelize(box_mesh((7.2, 7.2, 0.08)), (360.0, 360.0, 40.0))
+        reg = PixelGridFrame(pitch_um=360.0, origin_px=(32.0, 24.0), dims=(64, 48))
+        mask = layer_mask(vox, 0, reg)
+        path = generate_scan_path(mask, ScanParameters(), 0)
+        whole, _ = render_frames(
+            path, (64, 48), ThermalParams(), profile, noise_percent=noise_percent, seed=3
+        )
+        rows, cols = mask.window(WINDOW_PAD)
+        assert (rows, cols) == (slice(3, 47), slice(11, 55))  # inside the 64x48 frame
+        part = LayerStack(
+            frames=whole.frames[:, rows, cols], fps=whole.fps, origin=(rows.start, cols.start)
+        )
+        a = extract_layer(whole, profile, mask).maps
+        b = extract_layer(part, profile, mask).maps
+        # spatter detection thresholds on statistics of the whole searched area
+        spatter = {FeatureId.SPATTER_GENERATION, FeatureId.SPATTER_LANDING}
+        for fid in sorted(set(FeatureId) - spatter):
+            assert b[fid].grid.shape == (48, 64)
+            stored = [
+                map_layer_feature(np.where(m[fid].validity, m[fid].grid, np.nan), mask)
+                for m in (a, b)
+            ]
+            assert stored[0].values.tobytes() == stored[1].values.tobytes(), fid.name

@@ -169,6 +169,24 @@ class TestLayerMask:
         with pytest.raises(ParameterError):
             layer_mask(vox, 0, reg)
 
+    def test_window_pads_bounding_box(self):
+        vox = voxelize(box_mesh((3.6, 3.6, 0.4)), (360.0, 360.0, 40.0))
+        m = layer_mask(vox, 0, self.reg())  # pixels x 28..37, y 20..29
+        assert m.window(12) == (slice(8, 42), slice(16, 50))
+
+    def test_window_clips_at_frame_edge(self):
+        vox = voxelize(box_mesh((3.6, 3.6, 0.4)), (360.0, 360.0, 40.0))
+        corner = PixelGridFrame(pitch_um=360.0, origin_px=(6.0, 42.0), dims=(64, 48))
+        m = layer_mask(vox, 0, corner)  # pixels x 2..11, y 38..47
+        assert m.window(12) == (slice(26, 48), slice(0, 24))
+
+    def test_empty_mask_window_is_whole_frame(self):
+        mesh = box_mesh((3.6, 3.6, 0.4))
+        vox = voxelize(mesh, (360.0, 360.0, 40.0), dims=(10, 10, 12))
+        m = layer_mask(vox, 11, self.reg())  # above the box
+        assert len(m) == 0
+        assert m.window(12) == (slice(0, 48), slice(0, 64))
+
 
 class TestMapFeature:
     def test_values_and_reduction(self, rng):

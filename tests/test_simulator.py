@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from irmap.errors import ParameterError
+from irmap.features import WINDOW_PAD
 from irmap.geometry import box_mesh, layer_mask, voxelize
 from irmap.radiometry import forward_counts
 from irmap.simulator import (
@@ -108,6 +109,23 @@ class TestRender:
         hot = forward_counts(1200.0, profile.emissivity_powder, profile)
         assert peak <= 65535.0
         assert peak > 0.5 * hot
+
+    def test_window_matches_whole_frame(self, profile):
+        mask = small_mask(size_mm=7.2)
+        path = generate_scan_path(mask, ScanParameters(), 0)
+        sched = make_spatter_schedule(path, mask, 2, seed=5, min_lead_frames=5, clearance_px=4.0)
+        rows, cols = mask.window(WINDOW_PAD)
+        assert (rows, cols) == (slice(3, 47), slice(11, 55))  # inside the 64x48 frame
+        whole, whole_truth = render_frames(
+            path, (64, 48), ThermalParams(), profile, spatters=sched, noise_percent=0.0
+        )
+        part, part_truth = render_frames(
+            path, (64, 48), ThermalParams(), profile, spatters=sched, window=(rows, cols)
+        )
+        assert part.origin == (3, 11)
+        assert np.array_equal(part.frames, whole.frames[:, rows, cols])
+        assert np.array_equal(part_truth.true_scan_order, whole_truth.true_scan_order)
+        assert np.array_equal(part_truth.emissivity_map, whole_truth.emissivity_map)
 
     def test_emissivity_flips_after_scan(self, profile):
         mask = small_mask()
