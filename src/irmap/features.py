@@ -244,6 +244,15 @@ def max_predeposition(
     )
 
 
+def _grown_box(px: np.ndarray, grow: int) -> tuple[slice, slice]:
+    """Bounding box of the set pixels grown by `grow` px, clipped to the grid."""
+    rows, cols = np.nonzero(px)
+    return (
+        slice(max(0, int(rows.min()) - grow), int(rows.max()) + grow + 1),
+        slice(max(0, int(cols.min()) - grow), int(cols.max()) + grow + 1),
+    )
+
+
 def spatter_frame_filter(
     frame_counts: np.ndarray, floor_sigmas: float = 6.0
 ) -> tuple[np.ndarray, LabelGrid]:
@@ -277,7 +286,9 @@ def spatter_frame_filter(
     except imageops.DegenerateHistogramError:
         return scan_mask, empty
     candidates = (neg_log > max(b_thr, noise_floor)) & ~exclude
-    raw = imageops.label_components(candidates.astype(np.uint8), 8)
+    raw = imageops.label_components(candidates, 8)
+    if not raw.count:
+        return scan_mask, raw
 
     # isolation gate: a spatter lands on cold powder, so the ring around a
     # genuine cluster sits at the powder baseline; hot-edge artifacts at line
@@ -287,12 +298,13 @@ def spatter_frame_filter(
     labels = np.zeros(frame.shape, dtype=np.int32)
     kept = 0
     for lbl in range(1, raw.count + 1):
-        px = raw.labels == lbl
+        box = _grown_box(raw.labels == lbl, 3)  # holds the whole ring
+        px = raw.labels[box] == lbl
         ring = imageops.dilate_disk(px, 3) & ~imageops.dilate_disk(px, 1)
-        if ring.any() and float(frame[ring].mean()) > baseline + 2.0 * sigma_est:
+        if ring.any() and float(frame[box][ring].mean()) > baseline + 2.0 * sigma_est:
             continue
         kept += 1
-        labels[px] = kept
+        labels[box][px] = kept
     return scan_mask, LabelGrid(labels=labels, count=kept)
 
 
@@ -370,11 +382,21 @@ def melt_pool_area(
     s = _scan_frames(scan_order)
     grid = np.full(stack.shape, np.nan)
     valid = s >= 0
-    for t in np.unique(s[valid]):
-        laser = s == t
-        hot = imageops.label_components((stack.frames[t] > thr).astype(np.uint8), 8)
-        pools = np.unique(hot.labels[laser])
-        grid[laser] = float(np.bincount(hot.labels.ravel())[pools[pools > 0]].sum())
+    frames = np.unique(s[valid])
+    if len(frames):
+        hot = imageops.label_components((stack.frames > thr)[frames], 8)
+        # number every plane's clusters on from the previous plane's, so one
+        # bincount sizes them all
+        first = np.concatenate(([0], np.cumsum(hot.count)[:-1]))
+        plane, rows, cols = np.nonzero(hot.labels)
+        sizes = np.bincount(hot.labels[plane, rows, cols] + first[plane])
+        # the distinct clusters under each frame's laser pixels
+        at = np.searchsorted(frames, s[valid])
+        lbl = hot.labels[(at,) + np.nonzero(valid)]
+        pools = np.unique((lbl + first[at])[lbl > 0])
+        plane_of_pool = np.searchsorted(first, pools) - 1  # last plane numbered below
+        area = np.bincount(plane_of_pool, weights=sizes[pools], minlength=len(frames))
+        grid[valid] = area[at]
     return FeatureMap(
         feature_id=FeatureId.MELT_POOL_AREA, layer=stack.layer, grid=grid, validity=valid
     )

@@ -49,13 +49,13 @@ class TriangleMesh:
 
     def is_watertight(self) -> bool:
         """Every edge shared by exactly two triangles (vertex-exact match)."""
-        edges: dict[tuple, int] = {}
-        for tri in self.vertices:
-            keys = [tuple(np.round(v, 9)) for v in tri]
-            for a, b in ((0, 1), (1, 2), (2, 0)):
-                e = tuple(sorted((keys[a], keys[b])))
-                edges[e] = edges.get(e, 0) + 1
-        return all(n == 2 for n in edges.values())
+        # + 0.0 makes -0.0 and 0.0 one vertex, as they are one dict key
+        corners = np.round(self.vertices, 9).reshape(-1, 3) + 0.0
+        _, vid = np.unique(corners, axis=0, return_inverse=True)
+        vid = vid.reshape(-1, 3)
+        edges = np.sort(np.concatenate([vid[:, [0, 1]], vid[:, [1, 2]], vid[:, [2, 0]]]), axis=1)
+        _, counts = np.unique(edges, axis=0, return_counts=True)
+        return bool((counts == 2).all())
 
 
 def parse_stl(data: bytes) -> TriangleMesh:
@@ -235,60 +235,81 @@ def voxelize(
     )
 
 
+RAY_BLOCK = 1 << 16  # (ray, triangle) pairs solved per array pass; bounds memory
+
+
 def _parity_occupancy(tris, origin, pitch_mm, dims) -> np.ndarray:
+    """Parity fill of every x-column of voxel centers, a block of rays at a time."""
     nx, ny, nz = dims
     xc = origin[0] + (np.arange(nx) + 0.5) * pitch_mm[0]
     yc = origin[1] + (np.arange(ny) + 0.5) * pitch_mm[1]
     zc = origin[2] + (np.arange(nz) + 0.5) * pitch_mm[2]
-    ax, ay, az = tris[:, 0, 0], tris[:, 0, 1], tris[:, 0, 2]
-    bx, by, bz = tris[:, 1, 0], tris[:, 1, 1], tris[:, 1, 2]
-    cx, cy, cz = tris[:, 2, 0], tris[:, 2, 1], tris[:, 2, 2]
     scale = float(np.abs(tris).max()) + 1.0
     tol = 1e-9 * scale
+    rows = max(1, RAY_BLOCK // len(tris))
 
     occ = np.zeros((nx, ny, nz), dtype=bool)
     for k in range(nz):
-        z = zc[k]
-        for j in range(ny):
-            occ[:, j, k] = _column_parity(
-                yc[j], z, xc,
-                ax, ay, az, bx, by, bz, cx, cy, cz,
-                tol, pitch_mm,
-            )
+        for j0 in range(0, ny, rows):
+            occ[:, j0 : j0 + rows, k] = _rays_parity(
+                yc[j0 : j0 + rows], zc[k], xc, tris, tol, pitch_mm
+            ).T
     return occ
 
 
-def _column_parity(y, z, xc, ax, ay, az, bx, by, bz, cx, cy, cz, tol, pitch_mm):
-    """Parity fill of one x-column of voxel centers at ray position (y, z)."""
-    py, pz = y, z
-    for attempt in range(6):
-        d = (by - ay) * (cz - az) - (bz - az) * (cy - ay)
-        wc = (by - ay) * (pz - az) - (bz - az) * (py - ay)
-        wb = (py - ay) * (cz - az) - (pz - az) * (cy - ay)
-        nondeg = np.abs(d) > tol
-        with np.errstate(divide="ignore", invalid="ignore"):
-            u = np.where(nondeg, wb / d, 0.0)
-            v = np.where(nondeg, wc / d, 0.0)
-        w = 1.0 - u - v
-        near_edge = nondeg & (
-            (np.abs(u) < 1e-9) | (np.abs(v) < 1e-9) | (np.abs(w) < 1e-9)
-            | (np.abs(u - 1) < 1e-9) | (np.abs(v - 1) < 1e-9) | (np.abs(w - 1) < 1e-9)
-        )
-        degenerate_plane = (~nondeg) & (
-            (np.abs(wb) < tol) | (np.abs(wc) < tol)
-        )
-        inside = nondeg & (u > 0) & (v > 0) & (w > 0)
-        if not (near_edge[inside | near_edge].any() or degenerate_plane.any()):
+def _ray_hits(py, pz, tris, tol):
+    """Barycentric (u, v, w) of each ray (py[:, None], pz) against each triangle's
+    yz projection, which triangles it pierces, and which rays sit on an edge or
+    in a triangle's plane, where the parity would be ambiguous."""
+    ax, ay, az = tris[:, 0, 0], tris[:, 0, 1], tris[:, 0, 2]
+    bx, by, bz = tris[:, 1, 0], tris[:, 1, 1], tris[:, 1, 2]
+    cx, cy, cz = tris[:, 2, 0], tris[:, 2, 1], tris[:, 2, 2]
+    py = py[:, None]
+    d = (by - ay) * (cz - az) - (bz - az) * (cy - ay)
+    wc = (by - ay) * (pz - az) - (bz - az) * (py - ay)
+    wb = (py - ay) * (cz - az) - (pz - az) * (cy - ay)
+    nondeg = np.abs(d) > tol
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = np.where(nondeg, wb / d, 0.0)
+        v = np.where(nondeg, wc / d, 0.0)
+    w = 1.0 - u - v
+    near_edge = nondeg & (
+        (np.abs(u) < 1e-9) | (np.abs(v) < 1e-9) | (np.abs(w) < 1e-9)
+        | (np.abs(u - 1) < 1e-9) | (np.abs(v - 1) < 1e-9) | (np.abs(w - 1) < 1e-9)
+    )
+    degenerate_plane = (~nondeg) & ((np.abs(wb) < tol) | (np.abs(wc) < tol))
+    inside = nondeg & (u > 0) & (v > 0) & (w > 0)
+    ambiguous = near_edge.any(axis=1) | degenerate_plane.any(axis=1)
+    return u, v, w, inside, ambiguous
+
+
+def _rays_parity(y, z, xc, tris, tol, pitch_mm):
+    """Parity fill of the x-columns of voxel centers at rays (y[r], z): (len(y), nx).
+
+    An ambiguous ray is moved by a deterministic perturbation that grows per
+    attempt, so repeated runs are bit-identical; after six attempts the last
+    one stands.
+    """
+    u, v, w, inside, again = _ray_hits(y, z, tris, tol)
+    for attempt in range(5):
+        if not again.any():
             break
-        # deterministic perturbation; grows per attempt for reproducibility
         eps = 1e-4 * (2.0**attempt)
-        py = y + eps * pitch_mm[1]
+        redo = np.flatnonzero(again)
+        py = y[redo] + eps * pitch_mm[1]
         pz = z + eps * 1.37 * pitch_mm[2]
-    xs = (w * ax + u * bx + v * cx)[inside]
-    if xs.size == 0:
-        return np.zeros(len(xc), dtype=bool)
-    crossings = (xs[None, :] > xc[:, None]).sum(axis=1)
-    return (crossings % 2) == 1
+        u[redo], v[redo], w[redo], inside[redo], still = _ray_hits(py, pz, tris, tol)
+        again = np.zeros_like(again)
+        again[redo] = still
+    ray, tri = np.nonzero(inside)
+    x = tris[tri, :, 0]
+    xs = w[ray, tri] * x[:, 0] + u[ray, tri] * x[:, 1] + v[ray, tri] * x[:, 2]
+    # a crossing at x flips every voxel center xc[i] < x, i.e. i < m
+    nx = len(xc)
+    m = np.searchsorted(xc, xs, side="left")
+    flips = np.bincount(ray * (nx + 1) + m, minlength=len(y) * (nx + 1)).reshape(len(y), nx + 1)
+    crossings = np.cumsum(flips[:, ::-1], axis=1)[:, ::-1]  # crossings[:, i] = flips[:, i:].sum()
+    return crossings[:, 1:] % 2 == 1
 
 
 @dataclass

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -54,43 +55,67 @@ def gaussian_kernel_1d(sigma: float, order: int = 0) -> np.ndarray:
     raise ParameterError(f"unsupported kernel order {order}")
 
 
-def _correlate1d(a: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
+@lru_cache(maxsize=64)
+def _kernel(sigma: float, order: int) -> np.ndarray:
+    k = gaussian_kernel_1d(sigma, order)
+    k.flags.writeable = False
+    return k
+
+
+@lru_cache(maxsize=64)
+def _reflect_index(n: int, r: int) -> np.ndarray:
+    """Source indices of an axis of length n padded by r on both sides, reflect-101."""
+    idx = np.pad(np.arange(n), (r, r), mode="reflect")
+    idx.flags.writeable = False
+    return idx
+
+
+def _correlate1d(a: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Correlate a 2D grid with `kernel` along axis 0; C-contiguous result."""
     r = len(kernel) // 2
-    pad = [(0, 0), (0, 0)]
-    pad[axis] = (r, r)
-    p = np.pad(a, pad, mode="reflect")
-    out = np.zeros_like(a)
-    n = a.shape[axis]
+    n = a.shape[0]
+    p = np.take(a, _reflect_index(n, r), axis=0)
+    out = np.zeros(a.shape)
+    term = np.empty(a.shape)
     for i, kv in enumerate(kernel):
-        if axis == 0:
-            out += kv * p[i : i + n, :]
-        else:
-            out += kv * p[:, i : i + n]
+        np.multiply(kv, p[i : i + n], out=term)
+        out += term
     return out
 
 
-def separable_filter(img, kernel_y: np.ndarray, kernel_x: np.ndarray) -> np.ndarray:
-    a = _as_grid(img)
-    return _correlate1d(_correlate1d(a, kernel_y, 0), kernel_x, 1)
+def _separable_t(a: np.ndarray, kernel_y: np.ndarray, kernel_x: np.ndarray) -> np.ndarray:
+    """The transpose of `a` correlated with kernel_y along y, then kernel_x along x.
 
-
-def gaussian_blur(img, sigma: float) -> np.ndarray:
-    g = gaussian_kernel_1d(sigma, 0)
-    return separable_filter(img, g, g)
+    The x pass runs along axis 0 of the transposed y result, so both passes
+    slice whole contiguous rows; the arithmetic is the same per element.
+    """
+    return _correlate1d(_correlate1d(a, kernel_y).T, kernel_x)
 
 
 def gaussian_gradient_magnitude(img, sigma: float) -> np.ndarray:
-    g = gaussian_kernel_1d(sigma, 0)
-    d = gaussian_kernel_1d(sigma, 1)
-    gx = separable_filter(img, g, d)
-    gy = separable_filter(img, d, g)
-    return np.hypot(gx, gy)
+    a = _as_grid(img)
+    g, d = _kernel(sigma, 0), _kernel(sigma, 1)
+    return np.ascontiguousarray(np.hypot(_separable_t(a, g, d), _separable_t(a, d, g)).T)
 
 
 def gaussian_laplace(img, sigma: float) -> np.ndarray:
-    g = gaussian_kernel_1d(sigma, 0)
-    h = gaussian_kernel_1d(sigma, 2)
-    return separable_filter(img, g, h) + separable_filter(img, h, g)
+    a = _as_grid(img)
+    g, h = _kernel(sigma, 0), _kernel(sigma, 2)
+    return np.ascontiguousarray((_separable_t(a, g, h) + _separable_t(a, h, g)).T)
+
+
+def _uniform_histogram(a: np.ndarray, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """`np.histogram(a, OTSU_BINS, range=(lo, hi))` for a flat float64 `a`
+    inside [lo, hi]: the same edges and the same bin of every value."""
+    if lo == hi:
+        lo, hi = lo - 0.5, hi + 0.5
+    edges = np.linspace(lo, hi, OTSU_BINS + 1)
+    idx = ((a - lo) / (hi - lo) * OTSU_BINS).astype(np.intp)
+    idx[idx == OTSU_BINS] -= 1
+    # the scaled index can be one bin off within ~1 ULP of an edge
+    idx[a < edges[idx]] -= 1
+    idx[(a >= edges[idx + 1]) & (idx != OTSU_BINS - 1)] += 1
+    return np.bincount(idx, minlength=OTSU_BINS), edges
 
 
 def otsu_thresholds(img, classes: int = 2) -> list[float]:
@@ -102,9 +127,9 @@ def otsu_thresholds(img, classes: int = 2) -> list[float]:
     """
     if classes != 2:
         raise ParameterError(f"only classes=2 is supported, got {classes}")
-    a = _as_grid(img)
+    a = _as_grid(img).ravel()
     lo, hi = float(a.min()), float(a.max())
-    hist, edges = np.histogram(a, bins=OTSU_BINS, range=(lo, hi))
+    hist, edges = _uniform_histogram(a, lo, hi)
     if np.count_nonzero(hist) < 2:
         raise DegenerateHistogramError(
             "histogram has a single occupied bin; no threshold separates two classes"
@@ -128,54 +153,77 @@ class LabelGrid:
     """Connected-component labels: 0 = background, labels form {0..count}."""
 
     labels: np.ndarray
-    count: int
-
-
-_OFFSETS_4 = ((-1, 0), (0, -1))
-_OFFSETS_8 = ((-1, 0), (0, -1), (-1, -1), (-1, 1))
+    count: int | np.ndarray  # per-plane counts for a (k, h, w) stack
 
 
 def label_components(binary, connectivity: int = 4) -> LabelGrid:
     """Label clusters of 1-pixels under 4- or 8-connectivity.
 
     Labels are assigned in raster order of each cluster's first pixel, so
-    the result is independent of any internal traversal order.
+    the result is independent of any internal traversal order. A (k, h, w)
+    stack is labelled plane by plane, each plane exactly as on its own;
+    `count` is then a (k,) array of per-plane counts.
+
+    Only foreground pixels are visited: neighbour pairs form an edge list,
+    and labels merge by min-label hooking plus pointer jumping (Shiloach &
+    Vishkin, 1982) until both ends of every edge share a root.
     """
     b = np.asarray(binary)
-    if b.ndim != 2:
-        raise ParameterError(f"expected a 2D grid, got shape {b.shape}")
-    if not np.isin(b, (0, 1)).all():
+    if b.ndim not in (2, 3):
+        raise ParameterError(f"expected a 2D grid or a 3D stack, got shape {b.shape}")
+    if b.dtype != bool and not ((b == 0) | (b == 1)).all():
         raise ParameterError("binary grid must contain only {0, 1}")
     if connectivity not in (4, 8):
         raise ParameterError(f"connectivity must be 4 or 8, got {connectivity}")
-
-    coords = [tuple(c) for c in np.argwhere(b == 1)]
-    index = {c: n for n, c in enumerate(coords)}
-    parent = list(range(len(coords)))
-
-    def find(n):
-        while parent[n] != n:
-            parent[n] = parent[parent[n]]
-            n = parent[n]
-        return n
-
-    offsets = _OFFSETS_4 if connectivity == 4 else _OFFSETS_8
-    for n, (i, j) in enumerate(coords):
-        for di, dj in offsets:
-            m = index.get((i + di, j + dj))
-            if m is not None:
-                ra, rb = find(n), find(m)
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
-
+    h, w = b.shape[-2:]
     labels = np.zeros(b.shape, dtype=np.int32)
-    remap: dict[int, int] = {}
-    for n, c in enumerate(coords):  # coords are raster-ordered
-        root = find(n)
-        if root not in remap:
-            remap[root] = len(remap) + 1
-        labels[c] = remap[root]
-    return LabelGrid(labels=labels, count=len(remap))
+    fg = np.flatnonzero(b)  # raster order, plane by plane
+    n = len(fg)
+    if n == 0:
+        return LabelGrid(labels, 0 if b.ndim == 2 else np.zeros(b.shape[0], dtype=np.intp))
+
+    # edges from each pixel to its foreground neighbours in the row above and
+    # to the left; fg is sorted, so one search finds the pixel above and its
+    # diagonal neighbours sit next to it
+    row, col = (fg // w) % h, fg % w
+    up = fg - w
+    at = np.searchsorted(fg, up)  # <= own index, as up < fg
+    links = [
+        ((row > 0) & (fg[at] == up), at),
+        ((col > 0) & np.r_[False, np.diff(fg) == 1], np.arange(-1, n - 1)),
+    ]
+    if connectivity == 8:
+        after = at + (fg[at] == up)
+        links.append(((row > 0) & (col > 0) & (at > 0) & (fg[at - 1] == up - 1), at - 1))
+        links.append(((row > 0) & (col < w - 1) & (fg[after] == up + 1), after))
+    heads = [np.flatnonzero(ok) for ok, _ in links]
+    a = np.concatenate(heads)
+    c = np.concatenate([tail[hd] for hd, (_, tail) in zip(heads, links)])
+
+    # invariant parent[i] <= i, so each root is its cluster's first pixel
+    parent = np.arange(n)
+    while True:
+        ra, rc = parent[a], parent[c]
+        split = ra != rc
+        if not split.any():
+            break
+        ra, rc = ra[split], rc[split]
+        np.minimum.at(parent, np.maximum(ra, rc), np.minimum(ra, rc))
+        while True:
+            grand = parent[parent]
+            if (grand == parent).all():
+                break
+            parent = grand
+
+    is_root = parent == np.arange(n)
+    rank = np.cumsum(is_root)  # 1-based over the whole input
+    if b.ndim == 2:
+        labels.flat[fg] = rank[parent]
+        return LabelGrid(labels=labels, count=int(rank[-1]))
+    plane_of = fg // (h * w)
+    counts = np.bincount(plane_of[is_root], minlength=b.shape[0])
+    labels.flat[fg] = rank[parent] - (np.cumsum(counts) - counts)[plane_of]
+    return LabelGrid(labels=labels, count=counts)
 
 
 UNSEEN_FRAME = -1

@@ -7,13 +7,13 @@ from irmap.imageops import (
     ReductionState,
     dilate_disk,
     fold_max_argmax,
-    gaussian_blur,
     gaussian_gradient_magnitude,
     gaussian_kernel_1d,
     gaussian_laplace,
     label_components,
     otsu_thresholds,
 )
+from oracles import gaussian_blur
 
 
 def dense_separable(img, ky, kx):
