@@ -38,8 +38,6 @@ from .geometry import (
 from .radiometry import (
     CalibrationProfile,
     RadianceModel,
-    SurfaceClass,
-    convert_frame,
     fit_emissivity,
     fit_window_transmission,
     forward_counts,
@@ -95,12 +93,10 @@ __all__ = [
     "StoreCorruptionError",
     "StoreFormatError",
     "StoreMeta",
-    "SurfaceClass",
     "ThermalParams",
     "TriangleMesh",
     "VoxelMesh",
     "box_mesh",
-    "convert_frame",
     "estimate_homography",
     "extract_layer",
     "fit_emissivity",

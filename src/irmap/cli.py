@@ -272,7 +272,7 @@ def _load_layer(cfg: RunConfig, vox: geometry.VoxelMesh, layer: int):
     if not os.path.exists(path):
         raise ConfigError(f"frame stack not found: {path}")
     try:
-        frames, fps, recoat = store.read_layer_stack(path)
+        frames, fps, _ = store.read_layer_stack(path)
     except StoreFormatError as exc:
         raise StoreFormatError(f"layer {layer}: {path}: {exc}") from exc
     if frames.shape[1:] != (cfg.cam_height, cfg.cam_width):
@@ -281,9 +281,7 @@ def _load_layer(cfg: RunConfig, vox: geometry.VoxelMesh, layer: int):
             f"[camera] is {cfg.cam_width}x{cfg.cam_height}"
         )
     rows, cols = mask.window(feat.WINDOW_PAD)
-    stack = feat.LayerStack(
-        frames[:, rows, cols], fps, layer, recoat, origin=(rows.start, cols.start)
-    )
+    stack = feat.LayerStack(frames[:, rows, cols], fps, layer, (rows.start, cols.start))
     return stack, None, mask
 
 
@@ -381,11 +379,10 @@ def run_pipeline(cfg: RunConfig, write_files: bool = True) -> PipelineResult:
         )
     )
     for r in results:
-        for fid, fmap in sorted(r.features.maps.items()):
-            if int(fid) not in wanted:
-                continue
-            grid = np.where(fmap.validity, fmap.grid, np.nan)
-            fstore.add(r.layer, int(fid), geometry.map_layer_feature(grid, r.mask))
+        for fid, values in sorted(r.features.values.items()):
+            if int(fid) in wanted:
+                sparse = geometry.SparseFeature(r.mask.voxel_indices, values.astype(np.float32))
+                fstore.add(r.layer, int(fid), sparse)
     blob = store.write_store(fstore)
     report = store.reduction_report(
         (cfg.cam_width, cfg.cam_height), [r.frame_count for r in results], len(blob)

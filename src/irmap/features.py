@@ -1,8 +1,8 @@
 """Per-layer IR feature extractors over an ordered frame stack.
 
 Every extractor returns a FeatureMap aligned to the stack's frames, which
-hold the layer's part window; `extract_layer` puts the maps back on the
-camera frame.
+hold the layer's part window; `extract_layer` keeps each map's values at the
+layer's part pixels only.
 A single laser-activity count threshold (counts of a 660 degC blackbody at
 unit emissivity) defines "scanned" everywhere: the interpass cutoff, the
 unscanned sentinel, and the scalar-assignment target pixels.
@@ -10,6 +10,7 @@ unscanned sentinel, and the scalar-assignment target pixels.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import IntEnum
 
@@ -60,7 +61,6 @@ class LayerStack:
     frames: np.ndarray  # (n, h, w) counts, float64
     fps: float = 30.0
     layer: int = 0
-    recoat_boundary: int = 0
     origin: tuple[int, int] = (0, 0)  # camera (row, col) of frames[:, 0, 0]
 
     def __post_init__(self):
@@ -452,28 +452,54 @@ def asprinted_laplacian(
 
 @dataclass
 class LayerFeatures:
+    """One layer's features at its part pixels, in `mask` order."""
+
     layer: int
-    maps: dict[FeatureId, FeatureMap]
+    mask: LayerMask
+    values: dict[FeatureId, np.ndarray]  # float64 per mask pixel, NaN = invalid
     spatter_records: list[SpatterRecord]
 
+    @property
+    def maps(self) -> Mapping[FeatureId, FeatureMap]:
+        """Read-only camera-frame view; a map is built each time it is read."""
+        return _CameraMaps(self)
 
-def _on_camera(values: np.ndarray, window: tuple[slice, slice], shape, fill) -> np.ndarray:
-    out = np.full(shape, fill, dtype=values.dtype)
-    out[window] = values
-    return out
+
+class _CameraMaps(Mapping):
+    def __init__(self, features: LayerFeatures):
+        self._features = features
+
+    def __getitem__(self, fid: FeatureId) -> FeatureMap:
+        f = self._features
+        w, h = f.mask.registration.dims
+        grid = np.full((h, w), np.nan)
+        grid[f.mask.pix_y, f.mask.pix_x] = f.values[fid]
+        return FeatureMap(fid, f.layer, grid, ~np.isnan(grid))
+
+    def __iter__(self):
+        return iter(self._features.values)
+
+    def __len__(self) -> int:
+        return len(self._features.values)
 
 
 def extract_layer(
     stack: LayerStack,
     profile: CalibrationProfile,
-    mask: LayerMask | None = None,
+    mask: LayerMask,
     params: FeatureParams | None = None,
 ) -> LayerFeatures:
-    """Run every extractor on the stack's window. All feature ids are always present.
-
-    With a mask, every map is put back on the camera frame (NaN and invalid
-    outside the window) and the two Laplacians are valid on the part only.
-    """
+    """Run every extractor on the stack's window and keep each feature's
+    values at the mask's pixels. All feature ids are always present."""
+    (y0, x0), (h, w) = stack.origin, stack.shape
+    rows, cols = mask.pix_y - y0, mask.pix_x - x0
+    if len(mask) and not (
+        rows.min() >= 0 and rows.max() < h and cols.min() >= 0 and cols.max() < w
+    ):
+        raise ParameterError(
+            f"layer {stack.layer}: part pixels fall outside the {w}x{h} px stack "
+            f"window at camera (row, col) {stack.origin}"
+        )
     params = params or FeatureParams()
     intensity, order = heat_intensity_and_scan_order(stack, profile)
     ip = interpass(stack, profile)
@@ -497,15 +523,8 @@ def extract_layer(
     gen, land, records = spatter_layer(stack, order, profile, params)
     maps[FeatureId.SPATTER_GENERATION] = gen
     maps[FeatureId.SPATTER_LANDING] = land
-    if mask is not None:
-        part = mask.pixel_mask()
-        (y0, x0), (h, w) = stack.origin, stack.shape
-        window = (slice(y0, y0 + h), slice(x0, x0 + w))
-        for fmap in maps.values():
-            fmap.grid = _on_camera(fmap.grid, window, part.shape, np.nan)
-            fmap.validity = _on_camera(fmap.validity, window, part.shape, False)
-            for name, flag in fmap.flags.items():
-                fmap.flags[name] = _on_camera(flag, window, part.shape, False)
-        maps[FeatureId.INTERPASS_LAPLACIAN].validity &= part
-        maps[FeatureId.ASPRINTED_LAPLACIAN].validity &= part
-    return LayerFeatures(layer=stack.layer, maps=maps, spatter_records=records)
+    values = {
+        fid: np.where(m.validity[rows, cols], m.grid[rows, cols], np.nan)
+        for fid, m in maps.items()
+    }
+    return LayerFeatures(stack.layer, mask, values, records)

@@ -13,7 +13,6 @@ import configparser
 import io
 import math
 from dataclasses import dataclass, field, replace
-from enum import IntEnum
 
 import numpy as np
 
@@ -64,20 +63,6 @@ class CalibrationProfile:
             v = getattr(self, name)
             if not (0.0 < v <= 1.0):
                 raise ParameterError(f"{name} must be in (0, 1], got {v}")
-
-
-class SurfaceClass(IntEnum):
-    POWDER = 0
-    AS_PRINTED = 1
-    UNITY = 2
-
-
-def emissivity_of(cls: SurfaceClass, profile: CalibrationProfile) -> float:
-    if cls == SurfaceClass.POWDER:
-        return profile.emissivity_powder
-    if cls == SurfaceClass.AS_PRINTED:
-        return profile.emissivity_printed
-    return 1.0
 
 
 def _validate_eps(eps) -> None:
@@ -134,44 +119,6 @@ def invert_counts_array(counts, eps, profile: CalibrationProfile):
     t = profile.model.temperature(s_obj)
     t = np.where(valid, t, np.nan)
     return t, valid
-
-
-@dataclass
-class TemperatureFrame:
-    """Per-pixel temperatures in degC with a validity mask (False = below floor)."""
-
-    values: np.ndarray
-    valid: np.ndarray
-
-
-def convert_frame(frame, class_map, profile: CalibrationProfile) -> TemperatureFrame:
-    """Convert a counts frame using each pixel's surface-class emissivity.
-
-    class_map is either a single SurfaceClass, an integer grid of
-    SurfaceClass values, or a float grid of custom emissivities.
-    """
-    c = np.asarray(frame, dtype=np.float64)
-    if isinstance(class_map, SurfaceClass):
-        eps = np.full(c.shape, emissivity_of(class_map, profile))
-    else:
-        m = np.asarray(class_map)
-        if m.shape != c.shape:
-            raise ParameterError(
-                f"class map shape {m.shape} does not match frame shape {c.shape}"
-            )
-        if np.issubdtype(m.dtype, np.floating):
-            eps = m.astype(np.float64)
-        else:
-            eps = np.choose(
-                m.astype(np.int64),
-                [
-                    profile.emissivity_powder,
-                    profile.emissivity_printed,
-                    1.0,
-                ],
-            )
-    values, valid = invert_counts_array(c, eps, profile)
-    return TemperatureFrame(values=values, valid=valid)
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0

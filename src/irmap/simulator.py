@@ -92,9 +92,14 @@ class ScanPath:
     step_mm: float
     stripe_count: int
     orientation_deg: float
+    origin_px: tuple[float, float] = (0.0, 0.0)  # registration origin of the samples
 
     def __len__(self) -> int:
         return len(self.t_s)
+
+    def pixels(self) -> tuple[np.ndarray, np.ndarray]:
+        """(x, y) index of the pixel nearest each sample."""
+        return _nearest(self.x_px, self.origin_px[0]), _nearest(self.y_px, self.origin_px[1])
 
     @property
     def duration_s(self) -> float:
@@ -103,6 +108,14 @@ class ScanPath:
     @property
     def total_length_mm(self) -> float:
         return self.step_mm * len(self.t_s)
+
+
+def _nearest(px: np.ndarray, origin: float) -> np.ndarray:
+    """Nearest pixel index, with half-pixel ties rounded to even about the
+    registration origin: a path moved with the origin by whole pixels then
+    covers the same pixels, whatever the origin's parity."""
+    anchor = math.floor(origin)
+    return (np.round(px - anchor) + anchor).astype(np.int64)
 
 
 def generate_scan_path(
@@ -119,6 +132,7 @@ def generate_scan_path(
     wdir = np.array([math.cos(theta), math.sin(theta)])
     ldir = np.array([-math.sin(theta), math.cos(theta)])
 
+    ox, oy = mask.registration.origin_px
     dense = mask.pixel_mask()
     if not dense.any():
         return ScanPath(
@@ -128,9 +142,9 @@ def generate_scan_path(
             step_mm=pitch_mm / samples_per_pixel,
             stripe_count=0,
             orientation_deg=math.degrees(theta),
+            origin_px=(ox, oy),
         )
     ys, xs = np.nonzero(dense)
-    ox, oy = mask.registration.origin_px
     px_mm = (xs - ox) * pitch_mm
     py_mm = (ys - oy) * pitch_mm
     wc = px_mm * wdir[0] + py_mm * wdir[1]
@@ -163,8 +177,7 @@ def generate_scan_path(
             wline = ws if i % 2 == 0 else ws[::-1]
             gx = (wline * wdir[0] + li * ldir[0]) / pitch_mm + ox
             gy = (wline * wdir[1] + li * ldir[1]) / pitch_mm + oy
-            ix = np.round(gx).astype(np.int64)
-            iy = np.round(gy).astype(np.int64)
+            ix, iy = _nearest(gx, ox), _nearest(gy, oy)
             ok = (ix >= 0) & (ix < w) & (iy >= 0) & (iy < h)
             keep = np.zeros(len(wline), dtype=bool)
             keep[ok] = dense[iy[ok], ix[ok]]
@@ -185,6 +198,7 @@ def generate_scan_path(
         step_mm=step,
         stripe_count=stripe_count,
         orientation_deg=math.degrees(theta),
+        origin_px=(ox, oy),
     )
 
 
@@ -281,9 +295,8 @@ def render_frames(
         truth[k] = excess
     visited = np.zeros((h, w), dtype=bool)
     if len(path):
-        ix = np.clip(np.round(path.x_px).astype(np.int64), 0, w - 1)
-        iy = np.clip(np.round(path.y_px).astype(np.int64), 0, h - 1)
-        visited[iy, ix] = True
+        ix, iy = path.pixels()
+        visited[np.clip(iy, 0, h - 1), np.clip(ix, 0, w - 1)] = True
     seen = visited[rows, cols]
     if seen.sum() != visited.sum():
         raise ParameterError("scan path leaves the render window")
@@ -342,8 +355,8 @@ def first_visit_frames(
     """Frame index of each pixel's first laser visit, -1 where never visited."""
     w, h = dims
     first = np.full((h, w), UNSCANNED, dtype=np.int64)
-    ix = np.clip(np.round(path.x_px).astype(np.int64), 0, w - 1)
-    iy = np.clip(np.round(path.y_px).astype(np.int64), 0, h - 1)
+    ix, iy = path.pixels()
+    ix, iy = np.clip(ix, 0, w - 1), np.clip(iy, 0, h - 1)
     fr = prescan_frames + np.floor(path.t_s * fps).astype(np.int64)
     for k in range(len(path) - 1, -1, -1):  # reverse so earliest visit wins
         first[iy[k], ix[k]] = fr[k]

@@ -1,4 +1,4 @@
-"""Perspective correction: homography estimation, warping, and pixel pitch.
+"""Perspective correction: homography estimation, warping, and the pixel grid frame.
 
 The homography maps raw image coordinates to metric plate coordinates
 (plate center at the origin). Estimation uses the exact 8x8 solve for four
@@ -183,16 +183,6 @@ def warp_frame(frame, h: Homography, out_dims: tuple[int, int]) -> WarpedFrame:
     )
     values = np.where(inside, values, FILL_VALUE)
     return WarpedFrame(values=values, valid=inside)
-
-
-def estimate_pixel_pitch(p1, p2, known_length_mm: float) -> float:
-    """Pixel pitch in um/pixel from two points a known distance apart."""
-    if known_length_mm <= 0:
-        raise ParameterError("known length must be positive")
-    d = np.hypot(float(p2[0]) - float(p1[0]), float(p2[1]) - float(p1[1]))
-    if d < 1e-12:
-        raise ParameterError("coincident points")
-    return known_length_mm * 1000.0 / d
 
 
 def parse_correspondences(text: str) -> list[PointCorrespondence]:

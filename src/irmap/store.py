@@ -13,6 +13,7 @@ actual byte count, so corrupt headers cannot trigger huge allocations.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -270,16 +271,21 @@ def write_layer_stack(
 
 
 def read_layer_stack(path):
-    """Read a layer stack file; returns (frames u16, fps, recoat_boundary)."""
+    """Map a layer stack file; returns (frames u16, fps, recoat_boundary).
+
+    The frames are a read-only memory map, so a caller that keeps a window of
+    them reads only the file pages under it.
+    """
     with open(path, "rb") as f:
-        data = f.read()
-    if data[:4] != STACK_MAGIC:
-        raise StoreFormatError(f"bad stack magic {data[:4]!r}")
-    if len(data) < 28:
+        header = f.read(28)
+        size = os.fstat(f.fileno()).st_size
+    if header[:4] != STACK_MAGIC:
+        raise StoreFormatError(f"bad stack magic {header[:4]!r}")
+    if size < 28:
         raise StoreCorruptionError(
-            f"stack header truncated: {len(data)} bytes, expected 28", offset=len(data)
+            f"stack header truncated: {size} bytes, expected 28", offset=size
         )
-    version, w, h, n, fps, recoat = struct.unpack_from("<IIIIfI", data, 4)
+    version, w, h, n, fps, recoat = struct.unpack_from("<IIIIfI", header, 4)
     if version != STACK_VERSION:
         raise StoreFormatError(f"unsupported stack version {version}")
     if n < 1:
@@ -287,9 +293,9 @@ def read_layer_stack(path):
     if not 0.0 < fps < np.inf:
         raise StoreFormatError(f"stack frame rate {fps} is not a positive number")
     expected = 28 + n * h * w * 2
-    if len(data) < expected:
+    if size < expected:
         raise StoreCorruptionError(
-            f"stack truncated: {len(data)} bytes, expected {expected}", offset=len(data)
+            f"stack truncated: {size} bytes, expected {expected}", offset=size
         )
-    frames = np.frombuffer(data, dtype="<u2", count=n * h * w, offset=28).reshape(n, h, w)
+    frames = np.memmap(path, dtype="<u2", mode="r", offset=28, shape=(n, h, w))
     return frames, float(fps), int(recoat)

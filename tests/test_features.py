@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from irmap.errors import NoPrescanError
+from irmap.errors import NoPrescanError, ParameterError
 from irmap.features import (
     WINDOW_PAD,
     FeatureId,
@@ -33,6 +33,23 @@ def counts(t_c, profile, eps=None):
 def ambient_stack(profile, n=50, shape=(16, 16), ambient=80.0):
     c = counts(ambient, profile)
     return np.full((n,) + shape, c)
+
+
+def box_layer(size_mm, origin_px, dims):
+    """Layer 0 mask of a one-layer box part registered at `origin_px`."""
+    vox = voxelize(box_mesh((size_mm, size_mm, 0.04)), (360.0, 360.0, 40.0))
+    return layer_mask(vox, 0, PixelGridFrame(pitch_um=360.0, origin_px=origin_px, dims=dims))
+
+
+def rendered_window(profile):
+    """A 7.2 mm box layer rendered with 1% noise: its mask and part-window stack."""
+    mask = box_layer(7.2, (32.0, 24.0), (64, 48))
+    path = generate_scan_path(mask, ScanParameters(), 0)
+    stack, _ = render_frames(
+        path, (64, 48), ThermalParams(), profile,
+        window=mask.window(WINDOW_PAD), noise_percent=1.0, seed=3,
+    )
+    return mask, stack
 
 
 class TestInterpass:
@@ -101,12 +118,14 @@ class TestPredeposition:
         assert mx.grid[8, 8] == pytest.approx(300.0, abs=0.1)
 
     def test_max_dominates_local(self, profile):
-        stack, order = self.make_stack(profile)
-        local = local_predeposition(stack, order, profile, offset=10)
-        mx = max_predeposition(stack, order, profile, offset=10)
-        both = local.validity & mx.validity
-        assert both.any()
-        assert (mx.grid[both] >= local.grid[both] - 1e-9).all()
+        # a rendered window also holds the scanned pixels around the part
+        for stack in (self.make_stack(profile)[0], rendered_window(profile)[1]):
+            _, order = heat_intensity_and_scan_order(stack, profile)
+            local = local_predeposition(stack, order, profile, offset=10)
+            mx = max_predeposition(stack, order, profile, offset=10)
+            both = local.validity & mx.validity
+            assert both.any()
+            assert (mx.grid[both] >= local.grid[both] - 1e-9).all()
 
     def test_clamped_flag(self, profile):
         frames = ambient_stack(profile, n=40)
@@ -213,8 +232,30 @@ class TestExtractLayer:
         for t, (y, x) in enumerate([(4, 4), (4, 5), (5, 4), (5, 5)]):
             frames[10 + t, y, x] = hot
         stack = LayerStack(frames=frames, fps=30.0)
-        result = extract_layer(stack, profile)
+        result = extract_layer(stack, profile, box_layer(0.72, (4.0, 4.0), (16, 16)))
         assert set(result.maps) == set(FeatureId)
+
+    def test_values_kept_at_part_pixels(self, profile):
+        mask, stack = rendered_window(profile)
+        result = extract_layer(stack, profile, mask)
+        part = mask.pixel_mask()
+        for fid, values in result.values.items():
+            assert values.shape == (len(mask),) and values.dtype == np.float64
+            fmap = result.maps[fid]
+            assert fmap.grid.shape == part.shape
+            assert np.isnan(fmap.grid[~part]).all() and not fmap.validity[~part].any()
+            assert np.array_equal(fmap.grid[mask.pix_y, mask.pix_x], values, equal_nan=True)
+            assert np.array_equal(fmap.validity, ~np.isnan(fmap.grid))
+
+    @pytest.mark.parametrize("shift", [(13, 0), (-13, 0), (0, 13), (0, -13)])
+    def test_mask_outside_window_rejected(self, profile, shift):
+        mask = box_layer(7.2, (32.0, 24.0), (64, 48))
+        rows, cols = mask.window(WINDOW_PAD)
+        assert (rows, cols) == (slice(3, 47), slice(11, 55))  # WINDOW_PAD px around the part
+        frames = np.zeros((1, rows.stop - rows.start, cols.stop - cols.start))
+        origin = (rows.start + shift[0], cols.start + shift[1])
+        with pytest.raises(ParameterError, match="outside"):
+            extract_layer(LayerStack(frames, origin=origin), profile, mask)
 
     # with noise, the interpass field and both Laplacians vary across the part
     @pytest.mark.parametrize("noise_percent", [0.0, 1.0])

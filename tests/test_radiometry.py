@@ -5,7 +5,6 @@ from irmap.errors import BelowFloorError, IllConditionedError, ParameterError
 from irmap.radiometry import (
     CalibrationProfile,
     RadianceModel,
-    convert_frame,
     fit_emissivity,
     fit_window_transmission,
     forward_counts,
@@ -13,7 +12,6 @@ from irmap.radiometry import (
     invert_counts_array,
     profile_from_text,
     profile_to_text,
-    SurfaceClass,
 )
 from dataclasses import replace
 
@@ -123,33 +121,29 @@ class TestConvertFrame:
     def test_uniform_unity_frame(self, profile):
         counts = forward_counts(80.0, 1.0, profile)
         frame = np.full((8, 8), counts)
-        classes = np.full((8, 8), SurfaceClass.UNITY.value)
-        out = convert_frame(frame, classes, profile)
-        assert np.allclose(out.values, 80.0, atol=0.01)
-        assert out.valid.all()
+        values, valid = invert_counts_array(frame, 1.0, profile)
+        assert np.allclose(values, 80.0, atol=0.01)
+        assert valid.all()
 
     def test_asprinted_reads_hotter(self, profile):
         counts = forward_counts(300.0, 0.63, profile)
         frame = np.full((4, 8), counts)
-        classes = np.full((4, 8), SurfaceClass.POWDER.value)
-        classes[:, 4:] = SurfaceClass.AS_PRINTED.value
-        out = convert_frame(frame, classes, profile)
-        assert (out.values[:, 4:] > out.values[:, :4]).all()
+        eps = np.full((4, 8), profile.emissivity_powder)
+        eps[:, 4:] = profile.emissivity_printed
+        values, _ = invert_counts_array(frame, eps, profile)
+        assert (values[:, 4:] > values[:, :4]).all()
 
     def test_all_below_floor_flagged(self, profile):
         frame = np.zeros((4, 4))
-        classes = np.full((4, 4), SurfaceClass.POWDER.value)
-        out = convert_frame(frame, classes, profile)
-        assert not out.valid.any()
+        _, valid = invert_counts_array(frame, profile.emissivity_powder, profile)
+        assert not valid.any()
 
     def test_pixel_local_permutation(self, profile, rng):
         frame = rng.uniform(3000, 20000, size=(6, 6))
-        classes = np.full((6, 6), SurfaceClass.POWDER.value)
+        eps = profile.emissivity_powder
         perm = rng.permutation(36)
-        out1 = convert_frame(frame, classes, profile).values.ravel()[perm]
-        out2 = convert_frame(
-            frame.ravel()[perm].reshape(6, 6), classes, profile
-        ).values.ravel()
+        out1 = invert_counts_array(frame, eps, profile)[0].ravel()[perm]
+        out2 = invert_counts_array(frame.ravel()[perm].reshape(6, 6), eps, profile)[0].ravel()
         assert np.allclose(out1, out2)
 
 

@@ -54,6 +54,22 @@ class TestScanPath:
         with pytest.raises(ParameterError):
             ScanParameters(scan_speed_mm_s=0.0)
 
+    @pytest.mark.parametrize("dx, dy", [(1, 0), (0, 1), (3, -5)])
+    def test_pixels_move_with_origin(self, dx, dy):
+        # layer 0 hatches along x, so many samples sit on half-pixel ties
+        vox = voxelize(box_mesh((3.6, 3.6, 0.4)), (360.0, 360.0, 40.0))
+        paths = [
+            generate_scan_path(
+                layer_mask(vox, 0, PixelGridFrame(360.0, (32.0 + d[0], 24.0 + d[1]), (64, 48))),
+                ScanParameters(),
+                0,
+            )
+            for d in ((0, 0), (dx, dy))
+        ]
+        assert (paths[0].x_px % 1 == 0.5).any()
+        (x0, y0), (x1, y1) = (p.pixels() for p in paths)
+        assert np.array_equal(x1, x0 + dx) and np.array_equal(y1, y0 + dy)
+
 
 class TestThermalParams:
     def test_footprint_floor(self):

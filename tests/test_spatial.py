@@ -8,7 +8,6 @@ from irmap.spatial import (
     PixelGridFrame,
     apply_homography,
     estimate_homography,
-    estimate_pixel_pitch,
     parse_correspondences,
     warp_frame,
 )
@@ -121,31 +120,6 @@ class TestWarp:
         both[:, :3] = both[:, -3:] = False
         span = frame.max() - frame.min()
         assert np.abs(back.values[both] - frame[both]).max() <= 0.02 * span
-
-
-class TestPitch:
-    def test_paper_resolution(self):
-        assert estimate_pixel_pitch((0.0, 0.0), (416.667, 0.0), 150.0) == pytest.approx(
-            360.0, rel=1e-4
-        )
-
-    def test_inner_square_consistency(self):
-        assert estimate_pixel_pitch((0.0, 0.0), (0.0, 138.889), 50.0) == pytest.approx(
-            360.0, rel=1e-4
-        )
-
-    def test_simple(self):
-        assert estimate_pixel_pitch((0.0, 0.0), (10.0, 0.0), 10.0) == 1000.0
-
-    def test_rotation_invariance(self, rng):
-        ang = rng.uniform(0, 2 * np.pi)
-        c, s = np.cos(ang), np.sin(ang)
-        p2 = (c * 100.0, s * 100.0)
-        assert estimate_pixel_pitch((0.0, 0.0), p2, 36.0) == pytest.approx(360.0)
-
-    def test_coincident_rejected(self):
-        with pytest.raises(ParameterError):
-            estimate_pixel_pitch((1.0, 1.0), (1.0, 1.0), 10.0)
 
 
 class TestCorrespondenceFile:

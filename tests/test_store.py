@@ -190,3 +190,25 @@ class TestLayerStack:
         assert fps == 30.0
         assert recoat == 0
         assert np.array_equal(back, frames)
+
+    def test_frames_are_a_read_only_map(self, tmp_path):
+        path = tmp_path / "layer_0000.irfs"
+        write_layer_stack(str(path), np.ones((2, 3, 4)))
+        frames, _, _ = read_layer_stack(str(path))
+        assert isinstance(frames, np.memmap) and not frames.flags.writeable
+
+    @pytest.mark.parametrize(
+        "cut, error, message",
+        [
+            (slice(0, 75), StoreCorruptionError, "stack truncated: 75 bytes, expected 76"),
+            (slice(0, 20), StoreCorruptionError, "stack header truncated: 20 bytes"),
+            (slice(1, None), StoreFormatError, "bad stack magic"),
+        ],
+        ids=["body", "header", "magic"],
+    )
+    def test_bad_stack_file_rejected(self, tmp_path, cut, error, message):
+        path = tmp_path / "layer_0000.irfs"
+        write_layer_stack(str(path), np.ones((2, 3, 4)))
+        path.write_bytes(path.read_bytes()[cut])
+        with pytest.raises(error, match=message):
+            read_layer_stack(str(path))
