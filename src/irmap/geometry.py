@@ -260,7 +260,8 @@ def _parity_occupancy(tris, origin, pitch_mm, dims) -> np.ndarray:
 def _ray_hits(py, pz, tris, tol):
     """Barycentric (u, v, w) of each ray (py[:, None], pz) against each triangle's
     yz projection, which triangles it pierces, and which rays sit on an edge or
-    in a triangle's plane, where the parity would be ambiguous."""
+    on an edge-on triangle (whose projection is a segment), where the parity
+    would be ambiguous."""
     ax, ay, az = tris[:, 0, 0], tris[:, 0, 1], tris[:, 0, 2]
     bx, by, bz = tris[:, 1, 0], tris[:, 1, 1], tris[:, 1, 2]
     cx, cy, cz = tris[:, 2, 0], tris[:, 2, 1], tris[:, 2, 2]
@@ -277,9 +278,14 @@ def _ray_hits(py, pz, tris, tol):
         (np.abs(u) < 1e-9) | (np.abs(v) < 1e-9) | (np.abs(w) < 1e-9)
         | (np.abs(u - 1) < 1e-9) | (np.abs(v - 1) < 1e-9) | (np.abs(w - 1) < 1e-9)
     )
-    degenerate_plane = (~nondeg) & ((np.abs(wb) < tol) | (np.abs(wc) < tol))
     inside = nondeg & (u > 0) & (v > 0) & (w > 0)
-    ambiguous = near_edge.any(axis=1) | degenerate_plane.any(axis=1)
+    ambiguous = near_edge.any(axis=1)
+    edge_on = tris[~nondeg, :, 1:]  # a ray is ambiguous only on their segments
+    for i, j in ((0, 1), (1, 2), (2, 0)):
+        p, (dy, dz) = edge_on[:, i], (edge_on[:, j] - edge_on[:, i]).T
+        ry, rz = py - p[:, 0], pz - p[:, 1]
+        s = np.clip((ry * dy + rz * dz) / np.maximum(dy * dy + dz * dz, 1e-300), 0.0, 1.0)
+        ambiguous |= (np.hypot(ry - s * dy, rz - s * dz) <= tol).any(axis=1)
     return u, v, w, inside, ambiguous
 
 

@@ -90,7 +90,6 @@ class ScanPath:
     y_px: np.ndarray
     t_s: np.ndarray
     step_mm: float
-    stripe_count: int
     orientation_deg: float
     origin_px: tuple[float, float] = (0.0, 0.0)  # registration origin of the samples
 
@@ -104,10 +103,6 @@ class ScanPath:
     @property
     def duration_s(self) -> float:
         return float(self.t_s[-1]) if len(self.t_s) else 0.0
-
-    @property
-    def total_length_mm(self) -> float:
-        return self.step_mm * len(self.t_s)
 
 
 def _nearest(px: np.ndarray, origin: float) -> np.ndarray:
@@ -140,7 +135,6 @@ def generate_scan_path(
             y_px=np.empty(0),
             t_s=np.empty(0),
             step_mm=pitch_mm / samples_per_pixel,
-            stripe_count=0,
             orientation_deg=math.degrees(theta),
             origin_px=(ox, oy),
         )
@@ -163,15 +157,10 @@ def generate_scan_path(
     h, w = dense.shape
     out_x: list[np.ndarray] = []
     out_y: list[np.ndarray] = []
-    counts = 0
-    steps_per_band: list[int] = []
     for m in range(n_stripes):
         band_lo = w_lo + m * advance
         band_hi = min(band_lo + params.stripe_width_mm, w_hi)
         ws = np.arange(band_lo, band_hi, step)
-        if not len(ws):
-            continue
-        band_samples = 0
         for i in range(n_lines):
             li = l_lo + i * hatch_mm
             wline = ws if i % 2 == 0 else ws[::-1]
@@ -184,19 +173,14 @@ def generate_scan_path(
             if keep.any():
                 out_x.append(gx[keep])
                 out_y.append(gy[keep])
-                band_samples += int(keep.sum())
-        steps_per_band.append(band_samples)
-        counts += band_samples
     x_all = np.concatenate(out_x) if out_x else np.empty(0)
     y_all = np.concatenate(out_y) if out_y else np.empty(0)
-    t_all = (np.arange(counts) + 1) * dt
-    stripe_count = sum(1 for c in steps_per_band if c > 0)
+    t_all = (np.arange(len(x_all)) + 1) * dt
     return ScanPath(
         x_px=x_all,
         y_px=y_all,
         t_s=t_all,
         step_mm=step,
-        stripe_count=stripe_count,
         orientation_deg=math.degrees(theta),
         origin_px=(ox, oy),
     )
@@ -204,27 +188,93 @@ def generate_scan_path(
 
 @dataclass
 class GroundTruth:
-    true_scan_order: np.ndarray  # frame index per pixel, -1 unscanned
+    """A layer's ground truth, kept on its render window. `true_scan_order`
+    and `emissivity_map` are camera-frame arrays built each time they are
+    read; every pixel outside the window is unscanned powder."""
+
+    scan_order: np.ndarray  # frame index per window pixel, -1 unscanned
+    emissivity: np.ndarray  # final emissivity per window pixel
     spatter_events: list[SpatterEvent]
-    emissivity_map: np.ndarray  # final per-pixel emissivity
+    origin: tuple[int, int]  # camera (row, col) of the window's [0, 0] pixel
+    dims: tuple[int, int]  # camera (width, height)
+    powder_emissivity: float
 
+    @property
+    def true_scan_order(self) -> np.ndarray:
+        return self._on_camera(self.scan_order, UNSCANNED)
 
-def _deposit(field_arr, x: float, y: float, amp: float, sigma: float, origin):
-    """Add a Gaussian bump centred on camera pixel (x, y) to a field whose
-    [0, 0] element is camera pixel `origin` (row, col)."""
-    (oy, ox), (h, w) = origin, field_arr.shape
-    r = int(math.ceil(4 * sigma)) + 1
-    x0, x1 = max(ox, int(x) - r), min(ox + w, int(x) + r + 1)
-    y0, y1 = max(oy, int(y) - r), min(oy + h, int(y) + r + 1)
-    if x0 >= x1 or y0 >= y1:
-        return
-    gx = np.arange(x0, x1) - x
-    gy = np.arange(y0, y1) - y
-    bump = np.exp(-0.5 * ((gx[None, :] ** 2 + gy[:, None] ** 2) / sigma**2))
-    field_arr[y0 - oy : y1 - oy, x0 - ox : x1 - ox] += amp * bump
+    @property
+    def emissivity_map(self) -> np.ndarray:
+        return self._on_camera(self.emissivity, self.powder_emissivity)
+
+    def _on_camera(self, window: np.ndarray, fill) -> np.ndarray:
+        (y0, x0), (h, w) = self.origin, window.shape
+        out = np.full(self.dims[::-1], fill, dtype=window.dtype)
+        out[y0 : y0 + h, x0 : x0 + w] = window
+        return out
 
 
 SPATTER_SIGMA_PX = 0.7
+
+
+def _profiles(centres: np.ndarray, first: int, sigma: float):
+    """(px, g), each (samples, 2r + 1), r = ceil(4σ) + 1: each sample's pixels
+    int(centre) ± r counted from pixel `first`, and its 1-D Gaussian on them."""
+    r = int(math.ceil(4 * sigma)) + 1
+    px = centres.astype(np.int64)[:, None] + np.arange(-r, r + 1)
+    return px - first, np.exp(-0.5 * ((px - centres[:, None]) ** 2 / sigma**2))
+
+
+def _banded(px, g, size: int):
+    """(lo, G): G[s] holds profile g[s] at columns px[s] - lo, where lo.. are
+    the pixels of 0..size-1 that the samples' squares cover."""
+    r = px.shape[1] // 2
+    lo, hi = np.clip([px[:, 0].min(), px[:, -1].max() + 1], 0, size)
+    G = np.zeros((len(px), hi - lo + 2 * r))  # r columns of slack each side take clipped pixels
+    G[np.arange(len(px))[:, None], np.clip(px - lo, -r, hi - lo) + r] = g
+    return lo, G[:, r : r + hi - lo]
+
+
+def _true_temperatures(path, thermal, events, amb, window, seen, n, fps, prescan_frames):
+    """(n, rows, cols) float32 true temperatures of the camera `window`, whose
+    scanned pixels are `seen` (`amb`: whole-frame ambient). A frame's excess
+    field is the last one decayed plus the separable bumps of the samples that
+    arrived since, added as one product of their banded row and column profiles."""
+    rows, cols = window
+    (oy, ox), (h, w) = (rows.start, cols.start), seen.shape
+    src_t, t = path.t_s + prescan_frames / fps, np.arange(n) / fps
+    arrived = np.searchsorted(src_t, t + 1e-12, side="right")  # samples arrived by frame k
+    landed = t[np.minimum(np.searchsorted(arrived, np.arange(len(src_t)), side="right"), n - 1)]
+    (iy, gy), (ix, gx) = _profiles(path.y_px, oy, thermal.sigma_px), _profiles(path.x_px, ox, thermal.sigma_px)
+    gy *= np.exp(-(landed - src_t) / thermal.decay_s)[:, None]  # decayed to the frame it arrives in
+    decay_per_frame = math.exp(-(1.0 / fps) / thermal.decay_s)
+    truth, excess = np.empty((n, h, w), dtype=np.float32), np.zeros((h, w))
+    for k in range(n):
+        if k > 0:
+            excess *= decay_per_frame
+        a, b = arrived[k - 1] if k else 0, arrived[k]
+        if b > a:
+            (y0, by), (x0, bx) = _banded(iy[a:b], gy[a:b], h), _banded(ix[a:b], gx[a:b], w)
+            excess[y0 : y0 + by.shape[1], x0 : x0 + bx.shape[1]] += by.T @ bx
+        truth[k] = excess
+    # overlapping hatch lines stack heat, so normalize the excess history to
+    # put the median scanned pixel's peak at peak_c (the hottest overlap
+    # regions run hotter, as stripe boundaries do)
+    if seen.any():
+        typical = float(np.median(truth[:, seen].max(axis=0)))
+        if typical > 0:
+            truth *= (thermal.peak_c - float(np.mean(amb))) / typical
+    truth += amb[rows, cols]
+    r = int(math.ceil(4 * SPATTER_SIGMA_PX)) + 1
+    for ev in events:  # one at a time, in order, since their squares may overlap
+        (x, y), e = ev.landing_px, ev.emit_frame
+        x0, x1, y0, y1 = max(ox, x - r), min(ox + w, x + r + 1), max(oy, y - r), min(oy + h, y + r + 1)
+        if x0 < x1 and y0 < y1:
+            dx, dy = np.arange(x0, x1) - float(x), np.arange(y0, y1) - float(y)
+            bump = np.exp(-0.5 * ((dx[None, :] ** 2 + dy[:, None] ** 2) / SPATTER_SIGMA_PX**2))
+            amps = np.array([ev.peak_dt_c * math.exp(-((k - e) / fps) / ev.decay_s) for k in range(e, n)])
+            truth[e:, y0 - oy : y1 - oy, x0 - ox : x1 - ox] += amps[:, None, None] * bump
+    return truth
 
 
 def render_frames(
@@ -246,107 +296,50 @@ def render_frames(
     The emissivity of each pixel flips from powder to as-printed after the
     frame in which its true temperature peaks. Only the camera pixels in
     `window` (rows, cols; default the whole frame) are rendered, and each
-    holds the value a whole-frame render gives it; the ground truth stays on
-    the whole camera frame. Camera noise is Gaussian with a standard
-    deviation of noise_percent of the rendered count range, drawn from `seed`.
+    holds the value a whole-frame render gives it; the ground truth is kept
+    on the window too. Camera noise is Gaussian with a standard deviation of
+    noise_percent of the rendered count range, drawn from `seed`.
     """
     w, h = dims
     spatters = spatters or SpatterSchedule()
     rows, cols = window or (slice(0, h), slice(0, w))
     origin = (rows.start, cols.start)
-    amb = np.broadcast_to(
-        np.asarray(thermal.ambient_c, dtype=np.float64), (h, w)
-    ).copy()
+    amb = np.broadcast_to(np.asarray(thermal.ambient_c, dtype=np.float64), (h, w)).copy()
 
     n_scan = math.ceil(path.duration_s * fps - 1e-12) if len(path) else 0
     n = prescan_frames + n_scan + tail_frames
     for ev in spatters.events:
         if not (0 <= ev.emit_frame < n):
-            raise ParameterError(
-                f"spatter emit frame {ev.emit_frame} outside [0, {n})"
-            )
-        ex, ey = ev.landing_px
-        if not (0 <= ex < w and 0 <= ey < h):
+            raise ParameterError(f"spatter emit frame {ev.emit_frame} outside [0, {n})")
+        if not (0 <= ev.landing_px[0] < w and 0 <= ev.landing_px[1] < h):
             raise ParameterError(f"spatter landing {ev.landing_px} outside frame")
 
-    sigma = thermal.sigma_px
-    offset_s = prescan_frames / fps
-    src_t = path.t_s + offset_s if len(path) else np.empty(0)
-    decay_per_frame = math.exp(-(1.0 / fps) / thermal.decay_s)
-
-    truth = np.empty((n,) + amb[rows, cols].shape, dtype=np.float32)
-    excess = np.zeros(truth.shape[1:], dtype=np.float64)
-    cursor = 0
-    for k in range(n):
-        t_k = k / fps
-        if k > 0:
-            excess *= decay_per_frame
-        while cursor < len(src_t) and src_t[cursor] <= t_k + 1e-12:
-            age = t_k - src_t[cursor]
-            _deposit(
-                excess,
-                float(path.x_px[cursor]),
-                float(path.y_px[cursor]),
-                math.exp(-age / thermal.decay_s),
-                sigma,
-                origin,
-            )
-            cursor += 1
-        truth[k] = excess
-    visited = np.zeros((h, w), dtype=bool)
-    if len(path):
-        ix, iy = path.pixels()
-        visited[np.clip(iy, 0, h - 1), np.clip(ix, 0, w - 1)] = True
-    seen = visited[rows, cols]
-    if seen.sum() != visited.sum():
+    seen = np.zeros(amb[rows, cols].shape, dtype=bool)
+    ix, iy = path.pixels()
+    ix, iy = np.clip(ix, 0, w - 1) - origin[1], np.clip(iy, 0, h - 1) - origin[0]
+    if ((ix < 0) | (ix >= seen.shape[1]) | (iy < 0) | (iy >= seen.shape[0])).any():
         raise ParameterError("scan path leaves the render window")
-    # overlapping hatch lines stack heat, so normalize the excess history to
-    # put the median scanned pixel's peak at peak_c (the hottest overlap
-    # regions run hotter, as stripe boundaries do)
-    if seen.any():
-        typical = float(np.median(truth[:, seen].max(axis=0)))
-        if typical > 0:
-            truth *= (thermal.peak_c - float(np.mean(amb))) / typical
-    truth += amb[rows, cols]
-    for ev in spatters.events:
-        for k in range(ev.emit_frame, n):
-            age = (k - ev.emit_frame) / fps
-            _deposit(
-                truth[k],
-                float(ev.landing_px[0]),
-                float(ev.landing_px[1]),
-                ev.peak_dt_c * math.exp(-age / ev.decay_s),
-                SPATTER_SIGMA_PX,
-                origin,
-            )
+    seen[iy, ix] = True
+    truth = _true_temperatures(
+        path, thermal, spatters.events, amb, (rows, cols), seen, n, fps, prescan_frames
+    )
 
-    scan_order = np.full((h, w), UNSCANNED, dtype=np.int64)
-    if seen.any():
-        scan_order[rows, cols][seen] = np.argmax(truth[:, seen], axis=0)
+    scan_order = np.full(seen.shape, UNSCANNED, dtype=np.int64)
+    scan_order[seen] = np.argmax(truth[:, seen], axis=0)
 
-    frames = np.empty_like(truth)
-    eps_final = np.full((h, w), profile.emissivity_powder)
+    frames = truth  # turned into counts in place, a frame at a time
     for k in range(n):
-        printed = seen & (k > scan_order[rows, cols])
-        eps = np.where(printed, profile.emissivity_printed, profile.emissivity_powder)
+        eps = np.where(seen & (k > scan_order), profile.emissivity_printed, profile.emissivity_powder)
         frames[k] = forward_counts(truth[k], eps, profile)
-        if k == n - 1:
-            eps_final[rows, cols] = eps
-
     stack = LayerStack(frames=frames, fps=fps, layer=layer, origin=origin)
-    del frames  # free the float32 copy before the noise pass allocates
+    del frames, truth  # free the float32 copy before the noise pass allocates
     if noise_percent > 0:
         sigma = noise_percent / 100.0 * float(stack.frames.max() - stack.frames.min())
         rng = np.random.default_rng(seed)
         for k in range(n):  # frame at a time to bound the noise buffer
             noisy = stack.frames[k] + rng.normal(0.0, sigma, stack.shape)
             stack.frames[k] = np.clip(noisy, 1.0, 65535.0)
-    gt = GroundTruth(
-        true_scan_order=scan_order,
-        spatter_events=list(spatters.events),
-        emissivity_map=eps_final,
-    )
-    return stack, gt
+    return stack, GroundTruth(scan_order, eps, list(spatters.events), origin, dims, profile.emissivity_powder)
 
 
 def first_visit_frames(
@@ -358,8 +351,9 @@ def first_visit_frames(
     ix, iy = path.pixels()
     ix, iy = np.clip(ix, 0, w - 1), np.clip(iy, 0, h - 1)
     fr = prescan_frames + np.floor(path.t_s * fps).astype(np.int64)
-    for k in range(len(path) - 1, -1, -1):  # reverse so earliest visit wins
-        first[iy[k], ix[k]] = fr[k]
+    # fr never decreases along the path, so a pixel's first sample is its earliest visit
+    pixels, first_sample = np.unique(iy * w + ix, return_index=True)
+    first.flat[pixels] = fr[first_sample]
     return first
 
 

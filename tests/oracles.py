@@ -1,21 +1,25 @@
 """Reference implementations the array kernels in `irmap` must match byte for byte.
 
-Each is the straightforward one-pixel / one-ray / one-call version that the
-package used before its kernels worked on whole arrays. `gaussian_blur`, which
-only tests use, lives here too.
+Each is the straightforward one-pixel / one-ray / one-call / one-sample
+version that the package used before its kernels worked on whole arrays.
+`gaussian_blur`, which only tests use, lives here too.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from irmap.errors import DegenerateHistogramError, ParameterError
+from irmap.features import UNSCANNED
 from irmap.imageops import (
     OTSU_BINS,
     LabelGrid,
     _as_grid,
     gaussian_kernel_1d,
 )
+from irmap.simulator import SPATTER_SIGMA_PX
 
 _OFFSETS_4 = ((-1, 0), (0, -1))
 _OFFSETS_8 = ((-1, 0), (0, -1), (-1, -1), (-1, 1))
@@ -181,3 +185,78 @@ def is_watertight(mesh) -> bool:
             e = tuple(sorted((keys[a], keys[b])))
             edges[e] = edges.get(e, 0) + 1
     return all(n == 2 for n in edges.values())
+
+
+def deposit(field_arr, x: float, y: float, amp: float, sigma: float, origin):
+    """Add a Gaussian bump centred on camera pixel (x, y) to a field whose
+    [0, 0] element is camera pixel `origin` (row, col)."""
+    (oy, ox), (h, w) = origin, field_arr.shape
+    r = int(math.ceil(4 * sigma)) + 1
+    x0, x1 = max(ox, int(x) - r), min(ox + w, int(x) + r + 1)
+    y0, y1 = max(oy, int(y) - r), min(oy + h, int(y) + r + 1)
+    if x0 >= x1 or y0 >= y1:
+        return
+    gx = np.arange(x0, x1) - x
+    gy = np.arange(y0, y1) - y
+    bump = np.exp(-0.5 * ((gx[None, :] ** 2 + gy[:, None] ** 2) / sigma**2))
+    field_arr[y0 - oy : y1 - oy, x0 - ox : x1 - ox] += amp * bump
+
+
+def true_temperatures(path, thermal, events, amb, window, seen, n, fps, prescan_frames):
+    """`simulator._true_temperatures`, one `deposit` per path sample and per
+    spatter frame."""
+    rows, cols = window
+    origin = (rows.start, cols.start)
+    sigma = thermal.sigma_px
+    src_t = path.t_s + prescan_frames / fps
+    decay_per_frame = math.exp(-(1.0 / fps) / thermal.decay_s)
+
+    truth = np.empty((n,) + seen.shape, dtype=np.float32)
+    excess = np.zeros(seen.shape, dtype=np.float64)
+    cursor = 0
+    for k in range(n):
+        t_k = k / fps
+        if k > 0:
+            excess *= decay_per_frame
+        while cursor < len(src_t) and src_t[cursor] <= t_k + 1e-12:
+            age = t_k - src_t[cursor]
+            deposit(
+                excess,
+                float(path.x_px[cursor]),
+                float(path.y_px[cursor]),
+                math.exp(-age / thermal.decay_s),
+                sigma,
+                origin,
+            )
+            cursor += 1
+        truth[k] = excess
+    if seen.any():
+        typical = float(np.median(truth[:, seen].max(axis=0)))
+        if typical > 0:
+            truth *= (thermal.peak_c - float(np.mean(amb))) / typical
+    truth += amb[rows, cols]
+    for ev in events:
+        for k in range(ev.emit_frame, n):
+            age = (k - ev.emit_frame) / fps
+            deposit(
+                truth[k],
+                float(ev.landing_px[0]),
+                float(ev.landing_px[1]),
+                ev.peak_dt_c * math.exp(-age / ev.decay_s),
+                SPATTER_SIGMA_PX,
+                origin,
+            )
+    return truth
+
+
+def first_visit_frames(path, dims, fps: float = 30.0, prescan_frames: int = 3) -> np.ndarray:
+    """`simulator.first_visit_frames`, writing samples in reverse so the
+    earliest visit is written last."""
+    w, h = dims
+    first = np.full((h, w), UNSCANNED, dtype=np.int64)
+    ix, iy = path.pixels()
+    ix, iy = np.clip(ix, 0, w - 1), np.clip(iy, 0, h - 1)
+    fr = prescan_frames + np.floor(path.t_s * fps).astype(np.int64)
+    for k in range(len(path) - 1, -1, -1):
+        first[iy[k], ix[k]] = fr[k]
+    return first

@@ -103,7 +103,25 @@ def _meshes():
         "small sphere": (sphere_mesh(1.0, (1.2, 1.2, 1.2), n_theta=24, n_phi=12), None, None),
         "open box": (open_box, None, None),
         "on-ray tetrahedron": (_on_ray_tetrahedron(), (0.0, 0.0, 0.0), (10, 10, 10)),
+        # its y = 0.18 face is edge-on and lies on a row of voxel-center rays
+        "on-ray box": (box.translated((0.0, 0.18, 0.0)), (0.0, 0.0, 0.0), (12, 12, 12)),
     }
+
+
+def _perturbed_passes(monkeypatch, mesh, origin, dims):
+    """The occupancy, and the ray count of each perturbed `_ray_hits` pass."""
+    origin = np.asarray(origin)
+    zc = set(origin[2] + (np.arange(dims[2]) + 0.5) * PITCH_MM[2])
+    retried = []
+    hits = geometry._ray_hits
+
+    def spy(py, pz, tris, tol):
+        if pz not in zc:
+            retried.append(len(py))
+        return hits(py, pz, tris, tol)
+
+    monkeypatch.setattr(geometry, "_ray_hits", spy)
+    return geometry._parity_occupancy(mesh.vertices, origin, PITCH_MM, dims), retried
 
 
 def _grid(mesh, origin, dims):
@@ -137,19 +155,24 @@ class TestParityOccupancy:
         want = oracles.parity_occupancy(mesh.vertices, origin, PITCH_MM, dims, attempts)
         assert min(attempts) == 0 and max(attempts) > 0
 
-        zc = set(origin[2] + (np.arange(dims[2]) + 0.5) * PITCH_MM[2])
-        retried = []  # rays per perturbed pass
-        hits = geometry._ray_hits
-
-        def spy(py, pz, tris, tol):
-            if pz not in zc:
-                retried.append(len(py))
-            return hits(py, pz, tris, tol)
-
-        monkeypatch.setattr(geometry, "_ray_hits", spy)
-        occ = geometry._parity_occupancy(mesh.vertices, np.asarray(origin), PITCH_MM, dims)
+        occ, retried = _perturbed_passes(monkeypatch, mesh, origin, dims)
         assert retried  # some layer solved a second, perturbed pass ...
         assert min(retried) < dims[1]  # ... over the ambiguous rays of the layer only
+        assert occ.tobytes() == want.tobytes()
+
+    def test_edge_on_faces_off_the_rays_take_no_retry(self, monkeypatch):
+        # the demo box: its x-parallel faces project to segments no voxel-center
+        # ray is on, and no ray crosses an edge of its other faces
+        mesh = box_mesh((19.44, 19.44, 0.8))
+        occ, retried = _perturbed_passes(monkeypatch, mesh, (0.0, 0.0, 0.0), (54, 54, 20))
+        assert not retried
+        assert occ.all()
+
+    def test_ray_on_an_edge_on_face_takes_the_retry_path(self, monkeypatch):
+        mesh, origin, dims = _meshes()["on-ray box"]
+        occ, retried = _perturbed_passes(monkeypatch, mesh, origin, dims)
+        assert retried and max(retried) < dims[1]
+        want = oracles.parity_occupancy(mesh.vertices, origin, PITCH_MM, dims)
         assert occ.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("name", list(_meshes()))

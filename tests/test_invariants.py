@@ -83,7 +83,6 @@ def test_layer_results_hold_no_camera_frame_array(build):
     cfg = load_config(str(build / "kept.ini"))
     camera = (cfg.cam_height, cfg.cam_width)
     for lr in run_pipeline(cfg, write_files=False).layers:
-        lr.truth = None  # the simulator's ground truth is camera-shaped by design
         shapes = {a.shape for a in _arrays(lr)}
         assert shapes and not any(s[-2:] == camera for s in shapes if len(s) >= 2)
         assert all(v.shape == (len(lr.mask),) for v in lr.features.values.values())

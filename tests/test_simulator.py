@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
 
+import oracles
+from irmap import simulator
 from irmap.errors import ParameterError
 from irmap.features import WINDOW_PAD
 from irmap.geometry import box_mesh, layer_mask, voxelize
 from irmap.radiometry import forward_counts
 from irmap.simulator import (
     ScanParameters,
+    ScanPath,
     SpatterEvent,
+    SpatterSchedule,
     ThermalParams,
     first_visit_frames,
     generate_scan_path,
@@ -17,9 +21,9 @@ from irmap.simulator import (
 from irmap.spatial import PixelGridFrame
 
 
-def small_mask(size_mm=3.6, layer=0):
+def small_mask(size_mm=3.6, layer=0, origin_px=(32.0, 24.0)):
     vox = voxelize(box_mesh((size_mm, size_mm, 0.4)), (360.0, 360.0, 40.0))
-    reg = PixelGridFrame(pitch_um=360.0, origin_px=(32.0, 24.0), dims=(64, 48))
+    reg = PixelGridFrame(pitch_um=360.0, origin_px=origin_px, dims=(64, 48))
     return layer_mask(vox, layer, reg)
 
 
@@ -180,3 +184,66 @@ class TestSpatterSchedule:
     def test_bad_event_rejected(self):
         with pytest.raises(ParameterError):
             SpatterEvent(emit_frame=0, landing_px=(1, 1), peak_dt_c=-5.0, decay_s=0.1)
+
+
+def _oracle_cases():
+    """name -> (path, render_frames keywords): each covers one way a bump or a
+    spatter square meets the edge of what is rendered."""
+    mask = small_mask(size_mm=7.2)
+    path = generate_scan_path(mask, ScanParameters(), 0)
+    n = 3 + int(np.ceil(path.duration_s * 30.0 - 1e-12)) + 35
+    x, y = (int(v) for v in np.argwhere(mask.pixel_mask())[40][::-1])
+    pair = SpatterSchedule(  # 6 px apart: their 9x9 squares overlap
+        [SpatterEvent(9, (x, y), 250.0, 0.15), SpatterEvent(12, (x + 6, y), 400.0, 0.1)]
+    )
+    last = SpatterSchedule([SpatterEvent(n - 1, (x, y), 250.0, 0.15)])
+    corner = small_mask(origin_px=(4.0, 5.0))  # the part touches the frame's corner
+    empty = ScanPath(np.empty(0), np.empty(0), np.empty(0), 0.09, 0.0)
+    # a frame whose two samples' squares miss the frame, then one half off it
+    off = ScanPath(
+        np.array([-20.0, -20.5, 3.0]), np.array([5.0, 5.0, 49.0]), np.array([0.001, 0.002, 0.05]), 0.09, 0.0
+    )
+    return {
+        "whole frame": (path, {}),
+        "window": (path, {"window": mask.window(WINDOW_PAD), "spatters": pair}),
+        "clipped at the window edge": (path, {"window": mask.window(0), "spatters": last}),
+        "clipped at the frame edge": (generate_scan_path(corner, ScanParameters(), 1), {}),
+        "overlapping spatters": (path, {"spatters": pair}),
+        "spatter on the last frame": (path, {"spatters": last}),
+        "empty path": (empty, {"spatters": pair}),
+        "squares off the frame": (off, {}),
+    }
+
+
+class TestRenderOracle:
+    """The array renderer matches the one-deposit-per-sample loop byte for byte."""
+
+    @pytest.mark.parametrize("noise_percent", [0.0, 1.0])
+    @pytest.mark.parametrize("case", list(_oracle_cases()))
+    def test_matches_loop_renderer(self, profile, monkeypatch, case, noise_percent):
+        path, kw = _oracle_cases()[case]
+        runs = []
+        for temperatures in (simulator._true_temperatures, oracles.true_temperatures):
+            kept = []
+
+            def spy(*args, temperatures=temperatures, kept=kept):
+                kept.append(temperatures(*args))
+                return kept[-1].copy()  # render_frames turns it into counts
+
+            monkeypatch.setattr(simulator, "_true_temperatures", spy)
+            stack, gt = render_frames(
+                path, (64, 48), ThermalParams(), profile, noise_percent=noise_percent, seed=3, **kw
+            )
+            runs.append((kept[0], stack, gt))
+        (truth, stack, gt), (want_truth, want_stack, want_gt) = runs
+        assert truth.dtype == np.float32 and truth.tobytes() == want_truth.tobytes()
+        assert stack.frames.tobytes() == want_stack.frames.tobytes()
+        assert gt.true_scan_order.tobytes() == want_gt.true_scan_order.tobytes()
+        assert gt.emissivity_map.tobytes() == want_gt.emissivity_map.tobytes()
+
+    def test_first_visit_matches_reverse_loop(self):
+        path = generate_scan_path(small_mask(size_mm=7.2), ScanParameters(), 2)
+        ix, iy = path.pixels()
+        assert len(np.unique(iy * 64 + ix)) < len(path)  # pixels are revisited
+        want = oracles.first_visit_frames(path, (64, 48))
+        assert first_visit_frames(path, (64, 48)).tobytes() == want.tobytes()
