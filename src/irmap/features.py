@@ -115,6 +115,10 @@ INTERPASS_FRAME_CAP = 3
 SPATTER_MASK_SIGMA = 3.0  # px, gradient scale of the scan mask
 SPATTER_BLOB_SIGMA = 1.0  # px, LoG scale of a spatter blob
 SPATTER_DILATION_PX = 2
+# a spatter cluster within NEAR_LASER_PX (Euclidean) of a pixel scanned within
+# NEAR_LASER_FRAMES of its frame is the melt front's own edge
+NEAR_LASER_FRAMES = 3
+NEAR_LASER_PX = 2
 # the widest extractor kernel radius (the scan-mask gradient): a window this
 # far around the part gives every part pixel its whole-frame filter response
 WINDOW_PAD = int(np.ceil(4 * SPATTER_MASK_SIGMA))
@@ -254,9 +258,9 @@ def _grown_box(px: np.ndarray, grow: int) -> tuple[slice, slice]:
 
 
 def spatter_frame_filter(
-    frame_counts: np.ndarray, floor_sigmas: float = 6.0
-) -> tuple[np.ndarray, LabelGrid]:
-    """One-frame spatter candidates: gradient mask, then -LoG blob clusters.
+    frame_counts: np.ndarray, near_laser: np.ndarray, floor_sigmas: float = 6.0
+) -> tuple[np.ndarray | None, LabelGrid]:
+    """One-frame spatter candidates: -LoG blob clusters off the scan mask.
 
     Runs on raw counts, where camera noise is uniform across the frame. The
     scan mask is the high Otsu class of the Gaussian gradient magnitude,
@@ -264,19 +268,29 @@ def spatter_frame_filter(
     the mask, above the larger of the Otsu threshold and a robust noise floor
     (floor_sigmas times the MAD-estimated -LoG noise), so a frame with no
     real blobs yields no clusters instead of thresholding pure noise.
+
+    Clusters touching the `near_laser` mask (see `near_laser_mask`) are
+    dropped. Returns the scan mask (None when the early exit skipped it) and
+    the surviving clusters.
     """
     frame = np.asarray(frame_counts, dtype=np.float64)
     empty = LabelGrid(labels=np.zeros(frame.shape, dtype=np.int32), count=0)
+    neg_log = -imageops.gaussian_laplace(frame, SPATTER_BLOB_SIGMA)
+    mad = imageops.median(np.abs(neg_log - imageops.median(neg_log)))
+    noise_floor = floor_sigmas * mad / 0.6745
+    # exact early exit: every candidate pixel is above the noise floor, and a
+    # cluster with any pixel in `near_laser` is dropped below, so with no
+    # above-floor pixel outside the mask no cluster can survive whatever the
+    # scan mask and the Otsu thresholds turn out to be
+    if not (neg_log[~near_laser] > noise_floor).any():
+        return None, empty
+
     grad = imageops.gaussian_gradient_magnitude(frame, SPATTER_MASK_SIGMA)
     try:
         (g_thr,) = imageops.otsu_thresholds(grad, 2)
     except imageops.DegenerateHistogramError:
         return np.zeros(frame.shape, dtype=bool), empty
     scan_mask = imageops.dilate_disk(grad > g_thr, SPATTER_DILATION_PX)
-
-    neg_log = -imageops.gaussian_laplace(frame, SPATTER_BLOB_SIGMA)
-    mad = float(np.median(np.abs(neg_log - np.median(neg_log))))
-    noise_floor = floor_sigmas * mad / 0.6745
     # one extra ring beyond the mask so the melt spot's own -LoG skirt,
     # which is orders of magnitude above any blob, stays out of the search
     exclude = imageops.dilate_disk(scan_mask, 1)
@@ -287,17 +301,19 @@ def spatter_frame_filter(
         return scan_mask, empty
     candidates = (neg_log > max(b_thr, noise_floor)) & ~exclude
     raw = imageops.label_components(candidates, 8)
-    if not raw.count:
-        return scan_mask, raw
+    hits = np.bincount(raw.labels[near_laser], minlength=raw.count + 1)
+    survivors = np.flatnonzero(hits[1:] == 0) + 1
+    if not len(survivors):
+        return scan_mask, empty
 
     # isolation gate: a spatter lands on cold powder, so the ring around a
     # genuine cluster sits at the powder baseline; hot-edge artifacts at line
     # ends and stripe boundaries have glowing neighbors and get rejected
-    baseline = float(np.median(frame))
-    sigma_est = float(np.median(np.abs(frame - baseline))) / 0.6745
-    labels = np.zeros(frame.shape, dtype=np.int32)
+    baseline = imageops.median(frame)
+    sigma_est = imageops.median(np.abs(frame - baseline)) / 0.6745
+    labels = empty.labels
     kept = 0
-    for lbl in range(1, raw.count + 1):
+    for lbl in survivors:
         box = _grown_box(raw.labels == lbl, 3)  # holds the whole ring
         px = raw.labels[box] == lbl
         ring = imageops.dilate_disk(px, 3) & ~imageops.dilate_disk(px, 1)
@@ -306,6 +322,16 @@ def spatter_frame_filter(
         kept += 1
         labels[box][px] = kept
     return scan_mask, LabelGrid(labels=labels, count=kept)
+
+
+def near_laser_mask(scan_frames: np.ndarray, t: int) -> np.ndarray:
+    """Pixels within NEAR_LASER_PX of a pixel scanned within NEAR_LASER_FRAMES
+    of frame t: a cluster there is the melt front, not a landing on powder.
+
+    Dilating the scanned pixels instead of each cluster gives the same hits,
+    because the disk footprint is symmetric."""
+    now = (scan_frames >= 0) & (np.abs(scan_frames - t) <= NEAR_LASER_FRAMES)
+    return imageops.dilate_disk(now, NEAR_LASER_PX)
 
 
 def spatter_layer(
@@ -331,18 +357,14 @@ def spatter_layer(
         frame = stack.frames[t]
         if float(frame.max()) <= thr:
             continue  # no laser in view: nothing is emitting spatter
-        _, clusters = spatter_frame_filter(frame, params.spatter_floor_sigmas)
+        _, clusters = spatter_frame_filter(
+            frame, near_laser_mask(s, t), params.spatter_floor_sigmas
+        )
         new_count = 0
         for lbl in range(1, clusters.count + 1):
             px = clusters.labels == lbl
             if registry[px].any():
                 continue  # seen in an earlier frame; count once
-            # the melt front itself sculpts blob-like edges at line ends and
-            # corners; anything whose surroundings are being scanned right
-            # now is the laser, not a landing on powder
-            near_s = s[imageops.dilate_disk(px, 2)]
-            if ((near_s >= 0) & (np.abs(near_s - t) <= 3)).any():
-                continue
             new_count += 1
             landing[px] += 1.0
             registry[px] = True

@@ -104,6 +104,18 @@ def gaussian_laplace(img, sigma: float) -> np.ndarray:
     return np.ascontiguousarray((_separable_t(a, g, h) + _separable_t(a, h, g)).T)
 
 
+def median(a) -> float:
+    """`np.median` of all elements, from one partition: the middle element,
+    or for an even count the mean of it and the lower half's maximum. A
+    zero median is +0.0."""
+    a = np.asarray(a, dtype=np.float64).ravel()
+    k = a.size // 2
+    part = np.partition(a, k)
+    if a.size % 2:
+        return float(part[k]) + 0.0
+    return float((part[:k].max() + part[k]) / 2) + 0.0
+
+
 def _uniform_histogram(a: np.ndarray, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
     """`np.histogram(a, OTSU_BINS, range=(lo, hi))` for a flat float64 `a`
     inside [lo, hi]: the same edges and the same bin of every value."""

@@ -376,6 +376,10 @@ def make_spatter_schedule(
     emit frame, and at least clearance_px from the laser's position around
     the emit frame, so a detector is not excused by mask overlap.
     """
+    if count > 0 and not len(path):
+        raise ParameterError(
+            f"layer {mask.layer}: the scan path is empty, so no spatter event can be placed"
+        )
     w, h = mask.registration.dims
     first = first_visit_frames(path, (w, h), fps, prescan_frames)
     fr = prescan_frames + np.floor(path.t_s * fps).astype(np.int64)

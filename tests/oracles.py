@@ -2,7 +2,9 @@
 
 Each is the straightforward one-pixel / one-ray / one-call / one-sample
 version that the package used before its kernels worked on whole arrays.
-`gaussian_blur`, which only tests use, lives here too.
+`gaussian_blur`, which only tests use, lives here too, and so does the
+spatter detector that gates every cluster on its own after filtering the
+whole frame.
 """
 
 from __future__ import annotations
@@ -12,7 +14,20 @@ import math
 import numpy as np
 
 from irmap.errors import DegenerateHistogramError, ParameterError
-from irmap.features import UNSCANNED
+from irmap import imageops
+from irmap.features import (
+    SPATTER_BLOB_SIGMA,
+    SPATTER_DILATION_PX,
+    SPATTER_MASK_SIGMA,
+    UNSCANNED,
+    FeatureId,
+    FeatureMap,
+    FeatureParams,
+    SpatterRecord,
+    _grown_box,
+    _scan_frames,
+    activity_threshold,
+)
 from irmap.imageops import (
     OTSU_BINS,
     LabelGrid,
@@ -260,3 +275,93 @@ def first_visit_frames(path, dims, fps: float = 30.0, prescan_frames: int = 3) -
     for k in range(len(path) - 1, -1, -1):
         first[iy[k], ix[k]] = fr[k]
     return first
+
+
+def spatter_frame_filter(frame_counts, floor_sigmas: float = 6.0):
+    """Ungated one-frame spatter candidates: scan mask, -LoG clusters above
+    the Otsu threshold and the MAD noise floor, then the isolation gate."""
+    frame = np.asarray(frame_counts, dtype=np.float64)
+    empty = LabelGrid(labels=np.zeros(frame.shape, dtype=np.int32), count=0)
+    grad = imageops.gaussian_gradient_magnitude(frame, SPATTER_MASK_SIGMA)
+    try:
+        (g_thr,) = imageops.otsu_thresholds(grad, 2)
+    except DegenerateHistogramError:
+        return np.zeros(frame.shape, dtype=bool), empty
+    scan_mask = imageops.dilate_disk(grad > g_thr, SPATTER_DILATION_PX)
+
+    neg_log = -imageops.gaussian_laplace(frame, SPATTER_BLOB_SIGMA)
+    mad = float(np.median(np.abs(neg_log - np.median(neg_log))))
+    noise_floor = floor_sigmas * mad / 0.6745
+    exclude = imageops.dilate_disk(scan_mask, 1)
+    pos = np.where((neg_log > 0) & ~exclude, neg_log, 0.0)
+    try:
+        (b_thr,) = imageops.otsu_thresholds(pos, 2)
+    except DegenerateHistogramError:
+        return scan_mask, empty
+    candidates = (neg_log > max(b_thr, noise_floor)) & ~exclude
+    raw = imageops.label_components(candidates, 8)
+    if not raw.count:
+        return scan_mask, raw
+
+    baseline = float(np.median(frame))
+    sigma_est = float(np.median(np.abs(frame - baseline))) / 0.6745
+    labels = np.zeros(frame.shape, dtype=np.int32)
+    kept = 0
+    for lbl in range(1, raw.count + 1):
+        box = _grown_box(raw.labels == lbl, 3)
+        px = raw.labels[box] == lbl
+        ring = imageops.dilate_disk(px, 3) & ~imageops.dilate_disk(px, 1)
+        if ring.any() and float(frame[box][ring].mean()) > baseline + 2.0 * sigma_est:
+            continue
+        kept += 1
+        labels[box][px] = kept
+    return scan_mask, LabelGrid(labels=labels, count=kept)
+
+
+def spatter_layer(stack, scan_order, profile, params=None, stats=None):
+    """`features.spatter_layer` filtering every lit frame in full, then
+    dilating each surviving cluster by 2 px to test it against the pixels
+    scanned within 3 frames. With a `stats` dict, counts the clusters the
+    near-laser gate rejected under "near_laser"."""
+    params = params or FeatureParams()
+    s = _scan_frames(scan_order)
+    generation = np.zeros(stack.shape)
+    landing = np.zeros(stack.shape)
+    registry = np.zeros(stack.shape, dtype=bool)
+    records = []
+    thr = activity_threshold(profile)
+    for t in range(len(stack)):
+        frame = stack.frames[t]
+        if float(frame.max()) <= thr:
+            continue
+        _, clusters = spatter_frame_filter(frame, params.spatter_floor_sigmas)
+        new_count = 0
+        for lbl in range(1, clusters.count + 1):
+            px = clusters.labels == lbl
+            if registry[px].any():
+                continue
+            near_s = s[imageops.dilate_disk(px, 2)]
+            if ((near_s >= 0) & (np.abs(near_s - t) <= 3)).any():
+                if stats is not None:
+                    stats["near_laser"] = stats.get("near_laser", 0) + 1
+                continue
+            new_count += 1
+            landing[px] += 1.0
+            registry[px] = True
+            coords = np.argwhere(px) + np.array(stack.origin)
+            records.append(
+                SpatterRecord(
+                    frame=t,
+                    landing_pixels=coords,
+                    centroid=(float(coords[:, 1].mean()), float(coords[:, 0].mean())),
+                    size=int(px.sum()),
+                )
+            )
+        if new_count:
+            generation[s == t] += new_count
+    valid = s >= 0
+    gen_map = FeatureMap(FeatureId.SPATTER_GENERATION, stack.layer, generation, valid.copy())
+    land_map = FeatureMap(
+        FeatureId.SPATTER_LANDING, stack.layer, landing, np.ones(stack.shape, dtype=bool)
+    )
+    return gen_map, land_map, records

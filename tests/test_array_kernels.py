@@ -239,3 +239,45 @@ class TestReflectCorrelation:
             assert grad.flags.c_contiguous and log.flags.c_contiguous
             assert grad.tobytes() == oracles.gaussian_gradient_magnitude(a, sigma).tobytes()
             assert log.tobytes() == oracles.gaussian_laplace(a, sigma).tobytes()
+
+
+def _median_arrays(rng):
+    """Odd and even sizes, ties, signed zeros, and the 78x78 frame shape."""
+    arrays = [
+        np.array([3.0]),
+        np.array([2.0, 1.0]),
+        np.array([-0.0]),
+        np.array([-0.0, -0.0]),
+        np.array([0.0, -0.0, 0.0]),
+        np.array([-0.0, 0.0, -0.0, 0.0]),
+        np.array([-1.0, -0.0, 0.0, 1.0]),
+        np.full(7, 5.0),
+        np.full(8, 5.0),
+        np.array([1.0, 1.0, 2.0, 2.0]),
+        rng.normal(size=(78, 78)),
+        rng.normal(size=(77, 78)),
+    ]
+    for n in range(1, 201):
+        if n % 3 == 0:
+            arrays.append(rng.normal(size=n))
+        elif n % 3 == 1:
+            arrays.append(rng.integers(-3, 4, size=n).astype(float))  # many ties
+        else:
+            arrays.append(rng.choice([-1.0, -0.0, 0.0, 1.0], size=n))
+    return arrays
+
+
+class TestMedian:
+    def test_matches_numpy(self, rng):
+        for a in _median_arrays(rng):
+            got, want = imageops.median(a), float(np.median(a))
+            assert got == want
+            if want != 0.0:
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    def test_zero_median_is_positive(self):
+        # np.median's sign of a zero result depends on the numpy version; the
+        # detector only subtracts the median under abs() and compares with it,
+        # so the sign never reaches an output
+        for a in ([-0.0], [-0.0, -0.0], [0.0, -0.0, -0.0], [-1.0, -0.0, 0.0, 1.0]):
+            assert not np.signbit(imageops.median(np.array(a)))

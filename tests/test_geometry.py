@@ -130,7 +130,8 @@ class TestVoxelize:
         # drop the top face: still a volume, no longer watertight
         mesh = TriangleMesh(vertices=full.vertices[:-2], normals=full.normals[:-2])
         assert not mesh.is_watertight()
-        vox = voxelize(mesh, (360.0, 360.0, 40.0))
+        with pytest.warns(UserWarning, match="not watertight"):
+            vox = voxelize(mesh, (360.0, 360.0, 40.0))
         assert not vox.exact
 
 

@@ -158,6 +158,19 @@ class TestRender:
 
 
 class TestSpatterSchedule:
+    def test_empty_path_is_a_parameter_error(self, tmp_path):
+        from irmap import cli
+
+        cfg = cli.load_config(cli.write_demo(str(tmp_path)))
+        vox = cli._voxelize_config(cfg)
+        top = vox.dims[2] - 1  # the grid's top layer holds no part
+        mask = layer_mask(vox, top, cfg.registration())
+        path = generate_scan_path(mask, cfg.scan_params(), top)
+        assert len(mask) == 0 and len(path) == 0
+        with pytest.raises(ParameterError, match=f"layer {top}: the scan path is empty"):
+            make_spatter_schedule(path, mask, cfg.spatter_count)
+        assert make_spatter_schedule(path, mask, 0).events == []
+
     def test_events_land_ahead_of_laser(self, profile):
         mask = small_mask(size_mm=7.2)
         path = generate_scan_path(mask, ScanParameters(), 0)
