@@ -21,7 +21,7 @@ import numpy as np
 from . import features as feat
 from . import geometry, radiometry, simulator, spatial, store
 from .errors import ConfigError, DataError, DegeneracyError, HorizonError
-from .errors import IllConditionedError, IrmapError, StoreFormatError
+from .errors import BelowFloorError, IllConditionedError, IrmapError, StoreFormatError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -505,7 +505,7 @@ def _cmd_calibrate_thermal(args) -> int:
     profile = radiometry.CalibrationProfile()
     try:
         eps, resid = radiometry.fit_emissivity(_read_samples(args.samples), profile)
-    except (ValueError, IllConditionedError) as exc:
+    except (ValueError, IllConditionedError, BelowFloorError) as exc:
         raise DataError(f"{args.samples}: {exc}") from exc
     print(f"fitted emissivity: {eps:.4f} (residual std {resid:.3f} degC)")
     if args.out:

@@ -11,7 +11,7 @@ unscanned sentinel, and the scalar-assignment target pixels.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
@@ -26,32 +26,17 @@ UNSCANNED = -1
 
 
 class FeatureId(IntEnum):
-    INTERPASS = 1
-    HEAT_INTENSITY = 2
-    SCAN_ORDER = 3
-    LOCAL_PREDEPOSITION = 4
-    MAX_PREDEPOSITION = 5
-    SPATTER_GENERATION = 6
-    SPATTER_LANDING = 7
-    MELT_POOL_AREA = 8
-    COOLING_RATE = 9
-    INTERPASS_LAPLACIAN = 10
-    ASPRINTED_LAPLACIAN = 11
-
-
-FEATURE_UNITS = {
-    FeatureId.INTERPASS: "degC",
-    FeatureId.HEAT_INTENSITY: "counts",
-    FeatureId.SCAN_ORDER: "frame",
-    FeatureId.LOCAL_PREDEPOSITION: "degC",
-    FeatureId.MAX_PREDEPOSITION: "degC",
-    FeatureId.SPATTER_GENERATION: "count",
-    FeatureId.SPATTER_LANDING: "count",
-    FeatureId.MELT_POOL_AREA: "px",
-    FeatureId.COOLING_RATE: "degC/s",
-    FeatureId.INTERPASS_LAPLACIAN: "degC/px^2",
-    FeatureId.ASPRINTED_LAPLACIAN: "degC/px^2",
-}
+    INTERPASS = 1  # degC
+    HEAT_INTENSITY = 2  # counts
+    SCAN_ORDER = 3  # frame
+    LOCAL_PREDEPOSITION = 4  # degC
+    MAX_PREDEPOSITION = 5  # degC
+    SPATTER_GENERATION = 6  # count
+    SPATTER_LANDING = 7  # count
+    MELT_POOL_AREA = 8  # px
+    COOLING_RATE = 9  # degC/s
+    INTERPASS_LAPLACIAN = 10  # degC/px^2
+    ASPRINTED_LAPLACIAN = 11  # degC/px^2
 
 
 @dataclass
@@ -84,12 +69,6 @@ class FeatureMap:
     layer: int
     grid: np.ndarray
     validity: np.ndarray
-    units: str = ""
-    flags: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.units:
-            self.units = FEATURE_UNITS[self.feature_id]
 
 
 @dataclass
@@ -203,21 +182,21 @@ def local_predeposition(
     profile: CalibrationProfile,
     offset: int = 10,
 ) -> FeatureMap:
-    """Powder-emissivity temperature `offset` frames before each pixel's scan."""
+    """Powder-emissivity temperature `offset` frames before each pixel's scan
+    (frame 0 for a pixel scanned before frame `offset`)."""
     s = _scan_frames(scan_order)
     valid = s >= 0
-    target = np.maximum(s - offset, 0)
-    clamped = valid & (s < offset)
+    ys, xs = np.nonzero(valid)
+    target = np.maximum(s[ys, xs] - offset, 0)
     grid = np.full(stack.shape, np.nan)
-    for t in np.unique(target[valid]):
-        sel = valid & (target == t)
-        grid[sel], _ = _to_temperature(stack.frames[t][sel], profile.emissivity_powder, profile)
+    grid[ys, xs], _ = _to_temperature(
+        stack.frames[target, ys, xs], profile.emissivity_powder, profile
+    )
     return FeatureMap(
         feature_id=FeatureId.LOCAL_PREDEPOSITION,
         layer=stack.layer,
         grid=grid,
         validity=valid,
-        flags={"clamped": clamped},
     )
 
 
@@ -227,11 +206,11 @@ def max_predeposition(
     profile: CalibrationProfile,
     offset: int = 10,
 ) -> FeatureMap:
-    """Maximum powder-emissivity temperature over frames [0, scan - offset]."""
+    """Maximum powder-emissivity temperature over frames [0, scan - offset]
+    (frame 0 alone for a pixel scanned before frame `offset`)."""
     s = _scan_frames(scan_order)
     valid = s >= 0
     target = np.maximum(s - offset, 0)
-    clamped = valid & (s < offset)
     grid = np.full(stack.shape, np.nan)
     part_target = target[valid]  # the running maximum is kept for valid pixels only
     running = np.full(part_target.shape, -np.inf)
@@ -244,7 +223,6 @@ def max_predeposition(
         layer=stack.layer,
         grid=grid,
         validity=valid,
-        flags={"clamped": clamped},
     )
 
 
@@ -258,7 +236,7 @@ def _grown_box(px: np.ndarray, grow: int) -> tuple[slice, slice]:
 
 
 def spatter_frame_filter(
-    frame_counts: np.ndarray, near_laser: np.ndarray, floor_sigmas: float = 6.0
+    frame_counts: np.ndarray, gate_mask: np.ndarray, floor_sigmas: float = 6.0
 ) -> tuple[np.ndarray | None, LabelGrid]:
     """One-frame spatter candidates: -LoG blob clusters off the scan mask.
 
@@ -269,9 +247,10 @@ def spatter_frame_filter(
     (floor_sigmas times the MAD-estimated -LoG noise), so a frame with no
     real blobs yields no clusters instead of thresholding pure noise.
 
-    Clusters touching the `near_laser` mask (see `near_laser_mask`) are
-    dropped. Returns the scan mask (None when the early exit skipped it) and
-    the surviving clusters.
+    Clusters touching `gate_mask` are dropped: `spatter_layer` passes
+    the near-laser pixels (see `near_laser_mask`) and the pixels its registry
+    already counted. Returns the scan mask (None when the early exit skipped
+    it) and the surviving clusters.
     """
     frame = np.asarray(frame_counts, dtype=np.float64)
     empty = LabelGrid(labels=np.zeros(frame.shape, dtype=np.int32), count=0)
@@ -279,10 +258,10 @@ def spatter_frame_filter(
     mad = imageops.median(np.abs(neg_log - imageops.median(neg_log)))
     noise_floor = floor_sigmas * mad / 0.6745
     # exact early exit: every candidate pixel is above the noise floor, and a
-    # cluster with any pixel in `near_laser` is dropped below, so with no
+    # cluster with any pixel in `gate_mask` is dropped below, so with no
     # above-floor pixel outside the mask no cluster can survive whatever the
     # scan mask and the Otsu thresholds turn out to be
-    if not (neg_log[~near_laser] > noise_floor).any():
+    if not (neg_log[~gate_mask] > noise_floor).any():
         return None, empty
 
     grad = imageops.gaussian_gradient_magnitude(frame, SPATTER_MASK_SIGMA)
@@ -301,7 +280,7 @@ def spatter_frame_filter(
         return scan_mask, empty
     candidates = (neg_log > max(b_thr, noise_floor)) & ~exclude
     raw = imageops.label_components(candidates, 8)
-    hits = np.bincount(raw.labels[near_laser], minlength=raw.count + 1)
+    hits = np.bincount(raw.labels[gate_mask], minlength=raw.count + 1)
     survivors = np.flatnonzero(hits[1:] == 0) + 1
     if not len(survivors):
         return scan_mask, empty
@@ -343,7 +322,10 @@ def spatter_layer(
     """Spatter generation (credited to the laser location) and landing maps.
 
     A per-layer registry of already-counted pixels prevents recounting a
-    spatter that stays hot across consecutive frames.
+    spatter that stays hot across consecutive frames: the filter drops a
+    cluster on a registered pixel as it drops one near the laser. Only the
+    registry from before the frame matters, because one frame's clusters
+    are disjoint.
     """
     params = params or FeatureParams()
     s = _scan_frames(scan_order)
@@ -358,14 +340,10 @@ def spatter_layer(
         if float(frame.max()) <= thr:
             continue  # no laser in view: nothing is emitting spatter
         _, clusters = spatter_frame_filter(
-            frame, near_laser_mask(s, t), params.spatter_floor_sigmas
+            frame, near_laser_mask(s, t) | registry, params.spatter_floor_sigmas
         )
-        new_count = 0
         for lbl in range(1, clusters.count + 1):
             px = clusters.labels == lbl
-            if registry[px].any():
-                continue  # seen in an earlier frame; count once
-            new_count += 1
             landing[px] += 1.0
             registry[px] = True
             coords = np.argwhere(px) + np.array(stack.origin)
@@ -377,8 +355,8 @@ def spatter_layer(
                     size=int(px.sum()),
                 )
             )
-        if new_count:
-            generation[s == t] += new_count
+        if clusters.count:
+            generation[s == t] += clusters.count
     valid = s >= 0
     gen_map = FeatureMap(
         feature_id=FeatureId.SPATTER_GENERATION,
@@ -435,15 +413,14 @@ def cooling_rate(
     Pixels whose window extends past the stack are invalid, never zero-filled.
     """
     s = _scan_frames(scan_order)
-    n = len(stack)
-    valid = (s >= 0) & (s + window < n)
-    grid = np.full(stack.shape, np.nan)
+    valid = (s >= 0) & (s + window < len(stack))
+    ys, xs = np.nonzero(valid)
+    scan = s[ys, xs]
     eps = profile.emissivity_printed
-    for t in np.unique(s[valid]):
-        sel = valid & (s == t)
-        hot, _ = _to_temperature(stack.frames[t][sel], eps, profile)
-        cooled, _ = _to_temperature(stack.frames[t + window][sel], eps, profile)
-        grid[sel] = (hot - cooled) * (stack.fps / window)
+    hot, _ = _to_temperature(stack.frames[scan, ys, xs], eps, profile)
+    cooled, _ = _to_temperature(stack.frames[scan + window, ys, xs], eps, profile)
+    grid = np.full(stack.shape, np.nan)
+    grid[ys, xs] = (hot - cooled) * (stack.fps / window)
     return FeatureMap(
         feature_id=FeatureId.COOLING_RATE, layer=stack.layer, grid=grid, validity=valid
     )

@@ -97,14 +97,13 @@ def invert_counts(counts: float, eps: float, profile: CalibrationProfile) -> flo
     Raises BelowFloorError when counts do not exceed the background term,
     i.e. the object would be colder than its surroundings.
     """
-    _validate_eps(eps)
-    floor = float(background_counts(eps, profile))
-    if counts <= floor:
+    t, valid = invert_counts_array(counts, eps, profile)
+    if not valid:
+        floor = float(background_counts(eps, profile))
         raise BelowFloorError(
             f"counts {counts:.3f} at or below background floor {floor:.3f}"
         )
-    s_obj = (counts - floor) / (profile.window_transmission * eps)
-    return float(profile.model.temperature(s_obj))
+    return float(t)
 
 
 def invert_counts_array(counts, eps, profile: CalibrationProfile):
@@ -155,13 +154,25 @@ def _check_samples(temps, min_span: float = 100.0) -> None:
         )
 
 
+def _squared_error(temps, valid, reference) -> float:
+    """Sum of squared temperature errors, 1e12 for each below-floor sample.
+
+    The terms are added one after another in sample order: a pairwise or
+    compensated sum rounds differently and can flip a golden-section step.
+    """
+    sq = np.where(valid, (temps - reference) ** 2, 1e12)
+    return float(np.cumsum(sq)[-1])
+
+
 def fit_emissivity(
     samples, profile: CalibrationProfile, tol: float = 1e-4
 ) -> tuple[float, float]:
     """Fit the emissivity minimizing squared temperature error.
 
     samples: iterable of (counts, reference_temperature_c). Returns
-    (emissivity, residual standard deviation in degC).
+    (emissivity, residual standard deviation in degC). Raises BelowFloorError
+    naming the first sample whose counts are at or below the background floor
+    at the fitted emissivity.
     """
     counts = np.asarray([s[0] for s in samples], dtype=np.float64)
     temps = np.asarray([s[1] for s in samples], dtype=np.float64)
@@ -170,19 +181,19 @@ def fit_emissivity(
     _check_samples(temps)
 
     def objective(eps: float) -> float:
-        total = 0.0
-        for c, t in zip(counts, temps):
-            try:
-                total += (invert_counts(float(c), eps, profile) - t) ** 2
-            except BelowFloorError:
-                total += 1e12
-        return total
+        return _squared_error(*invert_counts_array(counts, eps, profile), temps)
 
     eps = min(1.0, _golden_min(objective, 1e-3, 1.0, tol))
-    resid = np.array(
-        [invert_counts(float(c), eps, profile) - t for c, t in zip(counts, temps)]
-    )
-    return eps, float(np.std(resid, ddof=1))
+    fitted, valid = invert_counts_array(counts, eps, profile)
+    if not valid.all():
+        i = int(np.argmin(valid))
+        floor = float(background_counts(eps, profile))
+        raise BelowFloorError(
+            f"sample {i + 1} (counts {counts[i]:.3f}, reference {temps[i]:g} degC) "
+            f"is at or below background floor {floor:.3f} "
+            f"at the fitted emissivity {eps:.4f}"
+        )
+    return eps, float(np.std(fitted - temps, ddof=1))
 
 
 def fit_window_transmission(
@@ -203,22 +214,13 @@ def fit_window_transmission(
 
     eps = profile.emissivity_powder
     bare = replace(profile, window_transmission=1.0)
-    t_bare = []
-    for c in without_g:
-        try:
-            t_bare.append(invert_counts(float(c), eps, bare))
-        except BelowFloorError:
-            raise ParameterError("glass-free counts below background floor")
+    t_bare, valid = invert_counts_array(without_g, eps, bare)
+    if not valid.all():
+        raise ParameterError("glass-free counts below background floor")
 
     def objective(tau: float) -> float:
         prof = replace(profile, window_transmission=tau)
-        total = 0.0
-        for c, t_ref in zip(with_g, t_bare):
-            try:
-                total += (invert_counts(float(c), eps, prof) - t_ref) ** 2
-            except BelowFloorError:
-                total += 1e12
-        return total
+        return _squared_error(*invert_counts_array(with_g, eps, prof), t_bare)
 
     return min(1.0, _golden_min(objective, 0.05, 1.0, tol))
 

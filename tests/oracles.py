@@ -4,16 +4,18 @@ Each is the straightforward one-pixel / one-ray / one-call / one-sample
 version that the package used before its kernels worked on whole arrays.
 `gaussian_blur`, which only tests use, lives here too, and so does the
 spatter detector that gates every cluster on its own after filtering the
-whole frame.
+whole frame. The calibration fits invert one sample at a time, and the
+pre-deposition and cooling extractors one target frame at a time.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
-from irmap.errors import DegenerateHistogramError, ParameterError
+from irmap.errors import BelowFloorError, DegenerateHistogramError, ParameterError
 from irmap import imageops
 from irmap.features import (
     SPATTER_BLOB_SIGMA,
@@ -26,6 +28,7 @@ from irmap.features import (
     SpatterRecord,
     _grown_box,
     _scan_frames,
+    _to_temperature,
     activity_threshold,
 )
 from irmap.imageops import (
@@ -33,6 +36,12 @@ from irmap.imageops import (
     LabelGrid,
     _as_grid,
     gaussian_kernel_1d,
+)
+from irmap.radiometry import (
+    _check_samples,
+    _golden_min,
+    _validate_eps,
+    background_counts,
 )
 from irmap.simulator import SPATTER_SIGMA_PX
 
@@ -365,3 +374,96 @@ def spatter_layer(stack, scan_order, profile, params=None, stats=None):
         FeatureId.SPATTER_LANDING, stack.layer, landing, np.ones(stack.shape, dtype=bool)
     )
     return gen_map, land_map, records
+
+
+def invert_counts(counts: float, eps: float, profile) -> float:
+    """One sample's temperature from the background floor and the closed-form
+    band-radiance inverse, in Python floats."""
+    _validate_eps(eps)
+    floor = float(background_counts(eps, profile))
+    if counts <= floor:
+        raise BelowFloorError(
+            f"counts {counts:.3f} at or below background floor {floor:.3f}"
+        )
+    s_obj = (counts - floor) / (profile.window_transmission * eps)
+    return float(profile.model.temperature(s_obj))
+
+
+def fit_emissivity(samples, profile, tol: float = 1e-4):
+    """`radiometry.fit_emissivity` whose objective inverts one sample at a
+    time and adds each squared error, or 1e12 below the floor, to a running
+    total."""
+    counts = np.asarray([s[0] for s in samples], dtype=np.float64)
+    temps = np.asarray([s[1] for s in samples], dtype=np.float64)
+    if not np.isfinite(counts).all():
+        raise ParameterError("non-finite counts in samples")
+    _check_samples(temps)
+
+    def objective(eps):
+        total = 0.0
+        for c, t in zip(counts, temps):
+            try:
+                total += (invert_counts(float(c), eps, profile) - t) ** 2
+            except BelowFloorError:
+                total += 1e12
+        return total
+
+    eps = min(1.0, _golden_min(objective, 1e-3, 1.0, tol))
+    resid = np.array(
+        [invert_counts(float(c), eps, profile) - t for c, t in zip(counts, temps)]
+    )
+    return eps, float(np.std(resid, ddof=1))
+
+
+def fit_window_transmission(paired, profile, tol: float = 1e-4):
+    """`radiometry.fit_window_transmission` with the same one-sample objective."""
+    with_g = np.asarray([p[0] for p in paired], dtype=np.float64)
+    without_g = np.asarray([p[1] for p in paired], dtype=np.float64)
+    temps = np.asarray([p[2] for p in paired], dtype=np.float64)
+    _check_samples(temps)
+    eps = profile.emissivity_powder
+    bare = replace(profile, window_transmission=1.0)
+    try:
+        t_bare = [invert_counts(float(c), eps, bare) for c in without_g]
+    except BelowFloorError:
+        raise ParameterError("glass-free counts below background floor")
+
+    def objective(tau):
+        prof = replace(profile, window_transmission=tau)
+        total = 0.0
+        for c, t_ref in zip(with_g, t_bare):
+            try:
+                total += (invert_counts(float(c), eps, prof) - t_ref) ** 2
+            except BelowFloorError:
+                total += 1e12
+        return total
+
+    return min(1.0, _golden_min(objective, 0.05, 1.0, tol))
+
+
+def local_predeposition(stack, scan_order, profile, offset: int = 10):
+    """`features.local_predeposition` inverting each target frame's pixels
+    on their own."""
+    s = _scan_frames(scan_order)
+    valid = s >= 0
+    target = np.maximum(s - offset, 0)
+    grid = np.full(stack.shape, np.nan)
+    for t in np.unique(target[valid]):
+        sel = valid & (target == t)
+        grid[sel], _ = _to_temperature(stack.frames[t][sel], profile.emissivity_powder, profile)
+    return FeatureMap(FeatureId.LOCAL_PREDEPOSITION, stack.layer, grid, valid)
+
+
+def cooling_rate(stack, scan_order, profile, window: int = 30):
+    """`features.cooling_rate` taking the pixels scanned in each frame on
+    their own."""
+    s = _scan_frames(scan_order)
+    valid = (s >= 0) & (s + window < len(stack))
+    grid = np.full(stack.shape, np.nan)
+    eps = profile.emissivity_printed
+    for t in np.unique(s[valid]):
+        sel = valid & (s == t)
+        hot, _ = _to_temperature(stack.frames[t][sel], eps, profile)
+        cooled, _ = _to_temperature(stack.frames[t + window][sel], eps, profile)
+        grid[sel] = (hot - cooled) * (stack.fps / window)
+    return FeatureMap(FeatureId.COOLING_RATE, stack.layer, grid, valid)

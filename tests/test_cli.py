@@ -229,6 +229,7 @@ class TestExitCodes:
             ("700,5000\n750,5600\n", None),
             ("700,5000\n700,5000\n", None),
             ("\udcff700,5000\n", None),
+            ("25,0\n100,1\n500,2\n", "sample 1 (counts 0.000, reference 25 degC)"),
         ],
         ids=[
             "not-a-number",
@@ -237,6 +238,7 @@ class TestExitCodes:
             "narrow-span",
             "one-temperature",
             "not-utf8",
+            "below-floor",
         ],
     )
     def test_bad_samples_file_is_data_error(self, tmp_path, capsys, text, where):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from irmap.errors import NoPrescanError, ParameterError
 from irmap.features import (
     WINDOW_PAD,
@@ -20,9 +21,10 @@ from irmap.features import (
     melt_threshold,
 )
 from irmap.geometry import box_mesh, layer_mask, map_layer_feature, voxelize
-from irmap.radiometry import forward_counts
+from irmap.radiometry import forward_counts, invert_counts
 from irmap.simulator import ScanParameters, ThermalParams, generate_scan_path, render_frames
 from irmap.spatial import PixelGridFrame
+from irmap.store import read_layer_stack, write_layer_stack
 
 
 def counts(t_c, profile, eps=None):
@@ -41,13 +43,13 @@ def box_layer(size_mm, origin_px, dims):
     return layer_mask(vox, 0, PixelGridFrame(pitch_um=360.0, origin_px=origin_px, dims=dims))
 
 
-def rendered_window(profile):
-    """A 7.2 mm box layer rendered with 1% noise: its mask and part-window stack."""
+def rendered_window(profile, noise_percent=1.0):
+    """A 7.2 mm box layer rendered with camera noise: its mask and part-window stack."""
     mask = box_layer(7.2, (32.0, 24.0), (64, 48))
     path = generate_scan_path(mask, ScanParameters(), 0)
     stack, _ = render_frames(
         path, (64, 48), ThermalParams(), profile,
-        window=mask.window(WINDOW_PAD), noise_percent=1.0, seed=3,
+        window=mask.window(WINDOW_PAD), noise_percent=noise_percent, seed=3,
     )
     return mask, stack
 
@@ -127,13 +129,49 @@ class TestPredeposition:
             assert both.any()
             assert (mx.grid[both] >= local.grid[both] - 1e-9).all()
 
-    def test_clamped_flag(self, profile):
+    def test_scan_before_offset_reads_frame_0(self, profile):
+        """A pixel scanned before frame `offset` reads frame 0 in both
+        extractors, not the warmer frames between frame 0 and its scan."""
         frames = ambient_stack(profile, n=40)
+        frames[0, 2, 2] = counts(95.0, profile)
+        frames[1:4, 2, 2] = counts(120.0, profile)
         frames[4, 2, 2] = counts(1200.0, profile)
         stack = LayerStack(frames=frames, fps=30.0)
         _, order = heat_intensity_and_scan_order(stack, profile)
-        local = local_predeposition(stack, order, profile, offset=10)
-        assert local.flags["clamped"][2, 2]
+        assert order.grid[2, 2] == 4
+        frame_0 = invert_counts(frames[0, 2, 2], profile.emissivity_powder, profile)
+        for extractor in (local_predeposition, max_predeposition):
+            assert extractor(stack, order, profile, offset=10).grid[2, 2] == frame_0
+
+
+class TestMatchLoopOracles:
+    """The gather extractors equal `oracles`' per-frame loops byte for byte."""
+
+    @staticmethod
+    def assert_same(stack, profile):
+        _, order = heat_intensity_and_scan_order(stack, profile)
+        pairs = (
+            (local_predeposition, oracles.local_predeposition, 10),
+            (cooling_rate, oracles.cooling_rate, 30),
+        )
+        for extractor, oracle, arg in pairs:
+            got = extractor(stack, order, profile, arg)
+            want = oracle(stack, order, profile, arg)
+            assert got.validity.any() and not got.validity.all()
+            assert np.array_equal(got.validity, want.validity)
+            assert got.grid.tobytes() == want.grid.tobytes()
+
+    @pytest.mark.parametrize("noise_percent", [0.0, 1.0])
+    def test_rendered_window(self, profile, noise_percent):
+        self.assert_same(rendered_window(profile, noise_percent)[1], profile)
+
+    def test_u16_stack_read_back(self, profile, tmp_path):
+        path = str(tmp_path / "layer_0000.irfs")
+        window = rendered_window(profile)[1]
+        write_layer_stack(path, window.frames, window.fps)
+        frames, fps, _ = read_layer_stack(path)
+        assert frames.dtype == np.dtype("<u2")
+        self.assert_same(LayerStack(frames, fps), profile)
 
 
 class TestMeltPool:

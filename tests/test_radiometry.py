@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+import oracles
+from irmap import radiometry
 from irmap.errors import BelowFloorError, IllConditionedError, ParameterError
 from irmap.radiometry import (
     CalibrationProfile,
     RadianceModel,
+    background_counts,
     fit_emissivity,
     fit_window_transmission,
     forward_counts,
@@ -73,6 +76,26 @@ class TestInvert:
         with pytest.raises(BelowFloorError):
             invert_counts(0.0, 0.63, profile)
 
+    @pytest.mark.parametrize("eps", [0.21, 0.63, 1.0])
+    def test_scalar_is_the_array_inversion(self, profile, eps):
+        """At the floor and on both sides of it, the scalar wrapper returns the
+        array value or raises the per-sample reference's BelowFloorError."""
+        floor = float(background_counts(eps, profile))
+        above = [np.nextafter(floor, np.inf), floor + 1e-3, floor + 1.0, 2.0 * floor, 6e4]
+        below = [floor, np.nextafter(floor, -np.inf), floor - 1.0, 0.0]
+        for c in above:
+            t, ok = invert_counts_array(c, eps, profile)
+            assert ok and invert_counts(c, eps, profile) == float(t)
+            assert invert_counts(c, eps, profile) == oracles.invert_counts(c, eps, profile)
+        for c in below:
+            assert not invert_counts_array(c, eps, profile)[1]
+            with pytest.raises(BelowFloorError) as got:
+                invert_counts(c, eps, profile)
+            with pytest.raises(BelowFloorError) as want:
+                oracles.invert_counts(c, eps, profile)
+            assert str(got.value) == str(want.value)
+            assert str(got.value) == f"counts {c:.3f} at or below background floor {floor:.3f}"
+
 
 class TestFits:
     def make_samples(self, eps, profile, temps=None):
@@ -115,6 +138,78 @@ class TestFits:
         c = [forward_counts(t, eps, bare) for t in temps]
         pairs = list(zip(c, c, temps))
         assert fit_window_transmission(pairs, bare) == pytest.approx(1.0, abs=0.005)
+
+
+class TestFitsMatchLoopOracle:
+    """The array objectives give exactly the fits of `oracles`' per-sample loop."""
+
+    def test_criterion_03_draws(self, profile):
+        # criterion 03's Monte Carlo draws (one array draw per set gives the
+        # same stream as its per-sample draws); draws 0 and 25 of each
+        # surface are fitted both ways
+        rng = np.random.default_rng(301)
+        noisy_temps = np.linspace(25.0, 500.0, 150)
+        for true_eps in (0.63, 0.21):
+            for k in range(50):
+                noise = rng.normal(0.0, 25.0, len(noisy_temps))
+                if k % 25 == 0:
+                    c = forward_counts(noisy_temps + noise, true_eps, profile)
+                    noisy = list(zip(c.tolist(), noisy_temps.tolist()))
+                    got = fit_emissivity(noisy, profile)
+                    assert got == oracles.fit_emissivity(noisy, profile)
+
+    def test_window_pairs(self, profile):
+        bare = replace(profile, window_transmission=1.0)
+        eps = profile.emissivity_powder
+        for temps in (np.linspace(25.0, 325.0, 4), np.linspace(25.0, 300.0, 7)):
+            pairs = [
+                (forward_counts(float(t), eps, profile), forward_counts(float(t), eps, bare), float(t))
+                for t in temps
+            ]
+            got = fit_window_transmission(pairs, profile)
+            assert got == oracles.fit_window_transmission(pairs, profile)
+        cold = [(forward_counts(-20.0, eps, profile), 0.0, -20.0)] + pairs
+        for fit in (fit_window_transmission, oracles.fit_window_transmission):
+            with pytest.raises(ParameterError, match="glass-free"):
+                fit(cold, profile)
+
+    def test_low_emissivity_with_below_floor_samples(self, profile, monkeypatch):
+        """Samples colder than the surroundings fall below the floor at some of
+        the emissivities the search visits, so those steps cost 1e12 each."""
+        rng = np.random.default_rng(7)
+        temps = np.linspace(-60.0, 480.0, 40)
+        samples = [
+            (forward_counts(float(t + rng.normal(0.0, 5.0)), 0.02, profile), float(t))
+            for t in temps
+        ]
+        want = oracles.fit_emissivity(samples, profile)
+        below = []
+
+        def spy(counts, eps, prof):
+            t, valid = invert_counts_array(counts, eps, prof)
+            below.append(int((~valid).sum()))
+            return t, valid
+
+        monkeypatch.setattr(radiometry, "invert_counts_array", spy)
+        assert fit_emissivity(samples, profile) == want
+        assert max(below) > 0 and below[-1] == 0
+
+    def test_samples_colder_than_the_surroundings(self, profile):
+        """Every sample is below the floor at the lower emissivities, so only
+        the 1e12 cost keeps the search off them."""
+        temps = np.linspace(-150.0, -40.0, 12)
+        samples = [(forward_counts(float(t), 0.3, profile), float(t)) for t in temps]
+        counts = np.array([c for c, _ in samples])
+        assert not invert_counts_array(counts, 0.2, profile)[1].any()
+        got = fit_emissivity(samples, profile)
+        assert got == oracles.fit_emissivity(samples, profile)
+        assert got[0] == pytest.approx(0.3, abs=1e-3)
+
+    def test_below_floor_at_the_fit_names_the_sample(self, profile):
+        samples = [(forward_counts(t, 0.63, profile), t) for t in (100.0, 300.0)]
+        samples.append((0.0, 500.0))
+        with pytest.raises(BelowFloorError, match=r"^sample 3 \(counts 0\.000, reference 500 degC\)"):
+            fit_emissivity(samples, profile)
 
 
 class TestConvertFrame:

@@ -151,6 +151,36 @@ class TestEdgeCases:
         stack = LayerStack(np.stack([np.full(shape, frame.min()), frame]))
         assert assert_same_spatter(stack, order_map(s), profile) == []
 
+    def test_early_exit_when_every_blob_is_registered(self, profile, monkeypatch):
+        """A blob far from the laser, counted in frame 1 and fainter in frame 2:
+        only the registry makes frame 2 skip the scan mask."""
+        shape = (40, 40)
+        frame = lit_frame(profile, shape, [(10, 10)], laser=(30, 30))
+        temp = np.full(shape, 80.0) + bump(shape, 30, 30, 1200.0, 1.5)
+        cooled = forward_counts(
+            temp + bump(shape, 10, 10, 5.0, SPATTER_SIGMA_PX), profile.emissivity_powder, profile
+        ) + np.random.default_rng(1).normal(0.0, 1.0, shape)
+        s = np.full(shape, -1)
+        s[27:34, 27:34] = 1  # the laser spot, still lit in frame 2
+        near = near_laser_mask(s, 2)
+        _, counted = spatter_frame_filter(frame, near_laser_mask(s, 1))
+        assert counted.count == 1
+        assert spatter_frame_filter(cooled, near)[1].count == 1
+        assert spatter_frame_filter(cooled, near | (counted.labels > 0))[0] is None
+
+        stack = LayerStack(np.stack([np.full(shape, frame.min()), frame, cooled]))
+        records = assert_same_spatter(stack, order_map(s), profile)
+        assert [r.frame for r in records] == [1]
+        grad_calls = []
+        real_grad = imageops.gaussian_gradient_magnitude
+        monkeypatch.setattr(
+            imageops,
+            "gaussian_gradient_magnitude",
+            lambda *a: grad_calls.append(1) or real_grad(*a),
+        )
+        spatter_layer(stack, order_map(s), profile)
+        assert len(grad_calls) == 1  # frame 2 exits early
+
     def test_degenerate_gradient_histogram(self, profile):
         """A uniformly hot frame: its gradient is constant, so Otsu finds no
         threshold and the scan mask is empty."""
