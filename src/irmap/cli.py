@@ -226,9 +226,8 @@ class PipelineResult:
     layers: list[LayerResult] = field(default_factory=list)
 
 
-def _simulate_layer(cfg: RunConfig, vox: geometry.VoxelMesh, layer: int, crop: bool = True):
-    """Render one layer's raw frame stack plus its ground truth; with `crop`,
-    render the layer's part window only."""
+def _simulate_layer(cfg: RunConfig, vox: geometry.VoxelMesh, layer: int):
+    """Render one layer's raw frame stack, on its part window, plus its ground truth."""
     reg = cfg.registration()
     mask = geometry.layer_mask(vox, layer, reg)
     path = simulator.generate_scan_path(mask, cfg.scan_params(), layer)
@@ -250,7 +249,7 @@ def _simulate_layer(cfg: RunConfig, vox: geometry.VoxelMesh, layer: int, crop: b
         cfg.params(simulator.ThermalParams),
         cfg.profile,
         spatters=schedule,
-        window=mask.window(feat.WINDOW_PAD) if crop else None,
+        window=mask.window(feat.WINDOW_PAD),
         noise_percent=cfg.noise_percent,
         fps=cfg.fps,
         prescan_frames=cfg.prescan_frames,
@@ -262,8 +261,8 @@ def _simulate_layer(cfg: RunConfig, vox: geometry.VoxelMesh, layer: int, crop: b
 
 
 def _load_layer(cfg: RunConfig, vox: geometry.VoxelMesh, layer: int):
-    """Read one layer's frame stack from a directory of stack files, cropped
-    to the layer's part window."""
+    """Read one layer's frame stack from a directory of stack files: a u16
+    copy of the layer's part window."""
     import os
 
     reg = cfg.registration()
@@ -272,7 +271,7 @@ def _load_layer(cfg: RunConfig, vox: geometry.VoxelMesh, layer: int):
     if not os.path.exists(path):
         raise ConfigError(f"frame stack not found: {path}")
     try:
-        frames, fps, _ = store.read_layer_stack(path)
+        frames, fps = store.read_layer_stack(path)
     except StoreFormatError as exc:
         raise StoreFormatError(f"layer {layer}: {path}: {exc}") from exc
     if frames.shape[1:] != (cfg.cam_height, cfg.cam_width):
@@ -281,7 +280,7 @@ def _load_layer(cfg: RunConfig, vox: geometry.VoxelMesh, layer: int):
             f"[camera] is {cfg.cam_width}x{cfg.cam_height}"
         )
     rows, cols = mask.window(feat.WINDOW_PAD)
-    stack = feat.LayerStack(frames[:, rows, cols], fps, layer, (rows.start, cols.start))
+    stack = feat.LayerStack(np.array(frames[:, rows, cols]), fps, layer, (rows.start, cols.start))
     return stack, None, mask
 
 
@@ -546,12 +545,18 @@ def _cmd_simulate(args) -> int:
     cfg = load_config(args.config, args)
     vox = _voxelize_config(cfg)
     os.makedirs(args.out_dir, exist_ok=True)
+    # pixels outside the part window, which no extractor reads, hold the
+    # ambient powder count a whole-frame render gives them at noise 0
+    powder = store.quantize_counts(
+        radiometry.forward_counts(cfg.ambient_c, cfg.profile.emissivity_powder, cfg.profile)
+    )
     for layer in _layer_range(cfg, vox):
-        stack, truth, _mask = _simulate_layer(cfg, vox, layer, crop=False)
+        stack, truth, _mask = _simulate_layer(cfg, vox, layer)
+        (y0, x0), (h, w) = stack.origin, stack.shape
+        frames = np.full((len(stack), cfg.cam_height, cfg.cam_width), powder, dtype="<u2")
+        frames[:, y0 : y0 + h, x0 : x0 + w] = stack.frames
         store.write_layer_stack(
-            os.path.join(args.out_dir, f"layer_{layer:04d}.irfs"),
-            stack.frames,
-            fps=cfg.fps,
+            os.path.join(args.out_dir, f"layer_{layer:04d}.irfs"), frames, fps=cfg.fps
         )
         with open(
             os.path.join(args.out_dir, f"layer_{layer:04d}.spatter.csv"),

@@ -43,13 +43,13 @@ class FeatureId(IntEnum):
 class LayerStack:
     """Ordered radiometric frames of one layer: the camera frame, or a window of it."""
 
-    frames: np.ndarray  # (n, h, w) counts, float64
+    frames: np.ndarray  # (n, h, w) counts, u16 from the simulator and from disk
     fps: float = 30.0
     layer: int = 0
     origin: tuple[int, int] = (0, 0)  # camera (row, col) of frames[:, 0, 0]
 
     def __post_init__(self):
-        self.frames = np.asarray(self.frames, dtype=np.float64)
+        self.frames = np.asarray(self.frames)
         if self.frames.ndim != 3 or self.frames.shape[0] < 1:
             raise ParameterError(
                 f"stack needs >= 1 uniform frame, got shape {self.frames.shape}"

@@ -67,8 +67,8 @@ class CalibrationProfile:
 
 def _validate_eps(eps) -> None:
     e = np.asarray(eps, dtype=np.float64)
-    if np.any(e <= 0.0) or np.any(e > 1.0):
-        raise ParameterError(f"emissivity must be in (0, 1]")
+    if not np.all((e > 0.0) & (e <= 1.0)):  # a NaN fails both comparisons
+        raise ParameterError("emissivity must be in (0, 1]")
 
 
 def background_counts(eps, profile: CalibrationProfile):

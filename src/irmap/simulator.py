@@ -18,6 +18,7 @@ from .errors import ParameterError
 from .features import UNSCANNED, LayerStack
 from .geometry import LayerMask
 from .radiometry import CalibrationProfile, forward_counts
+from .store import quantize_counts
 
 
 @dataclass(frozen=True)
@@ -295,10 +296,12 @@ def render_frames(
 
     The emissivity of each pixel flips from powder to as-printed after the
     frame in which its true temperature peaks. Only the camera pixels in
-    `window` (rows, cols; default the whole frame) are rendered, and each
-    holds the value a whole-frame render gives it; the ground truth is kept
-    on the window too. Camera noise is Gaussian with a standard deviation of
-    noise_percent of the rendered count range, drawn from `seed`.
+    `window` (rows, cols; default the whole frame) are rendered, and at noise
+    0 each holds the value a whole-frame render gives it; the ground truth is
+    kept on the window too. Camera noise is Gaussian with a standard
+    deviation of noise_percent of the rendered count range, drawn from `seed`
+    over the window. The frames are the noisy counts quantized once to u16 by
+    `store.quantize_counts`, as a stack file holds them.
     """
     w, h = dims
     spatters = spatters or SpatterSchedule()
@@ -327,18 +330,17 @@ def render_frames(
     scan_order = np.full(seen.shape, UNSCANNED, dtype=np.int64)
     scan_order[seen] = np.argmax(truth[:, seen], axis=0)
 
-    frames = truth  # turned into counts in place, a frame at a time
+    counts = truth  # turned into counts in place, a frame at a time
     for k in range(n):
         eps = np.where(seen & (k > scan_order), profile.emissivity_printed, profile.emissivity_powder)
-        frames[k] = forward_counts(truth[k], eps, profile)
+        counts[k] = forward_counts(truth[k], eps, profile)
+    sigma = noise_percent / 100.0 * (float(counts.max()) - float(counts.min()))
+    rng = np.random.default_rng(seed)
+    frames = np.empty(counts.shape, dtype="<u2")
+    for k in range(n):  # frame at a time to bound the noise buffer
+        noise = rng.normal(0.0, sigma, seen.shape) if noise_percent > 0 else 0.0
+        frames[k] = quantize_counts(counts[k] + noise)
     stack = LayerStack(frames=frames, fps=fps, layer=layer, origin=origin)
-    del frames, truth  # free the float32 copy before the noise pass allocates
-    if noise_percent > 0:
-        sigma = noise_percent / 100.0 * float(stack.frames.max() - stack.frames.min())
-        rng = np.random.default_rng(seed)
-        for k in range(n):  # frame at a time to bound the noise buffer
-            noisy = stack.frames[k] + rng.normal(0.0, sigma, stack.shape)
-            stack.frames[k] = np.clip(noisy, 1.0, 65535.0)
     return stack, GroundTruth(scan_order, eps, list(spatters.events), origin, dims, profile.emissivity_powder)
 
 

@@ -255,23 +255,27 @@ def parse_vtk(data: bytes):
     return dims, arr
 
 
-def write_layer_stack(
-    path, frames, fps: float = 30.0, recoat_boundary: int = 0
-) -> None:
-    """Persist one layer's frames: header + contiguous u16 count frames."""
-    stack = np.asarray(frames, dtype=np.float64)
-    if stack.ndim != 3:
-        raise ParameterError(f"expected (frames, h, w), got shape {stack.shape}")
-    n, h, w = stack.shape
-    quantized = np.clip(np.round(stack), 0, 65535).astype("<u2")
+def quantize_counts(counts) -> np.ndarray:
+    """Camera counts as the u16 a stack file holds: rounded, clipped to [0, 65535]."""
+    return np.clip(np.round(counts), 0, 65535).astype("<u2")
+
+
+def write_layer_stack(path, frames, fps: float = 30.0) -> None:
+    """Persist one layer's frames: header + contiguous u16 count frames, each
+    quantized by `quantize_counts`. The header's last u32 is reserved, 0."""
+    frames = np.asarray(frames)
+    if frames.ndim != 3:
+        raise ParameterError(f"expected (frames, h, w), got shape {frames.shape}")
+    n, h, w = frames.shape
     with open(path, "wb") as f:
         f.write(STACK_MAGIC)
-        f.write(struct.pack("<IIIIfI", STACK_VERSION, w, h, n, fps, recoat_boundary))
-        f.write(quantized.tobytes())
+        f.write(struct.pack("<IIIIfI", STACK_VERSION, w, h, n, fps, 0))
+        for frame in frames:
+            f.write(quantize_counts(frame).tobytes())
 
 
 def read_layer_stack(path):
-    """Map a layer stack file; returns (frames u16, fps, recoat_boundary).
+    """Map a layer stack file; returns (frames u16, fps).
 
     The frames are a read-only memory map, so a caller that keeps a window of
     them reads only the file pages under it.
@@ -285,7 +289,7 @@ def read_layer_stack(path):
         raise StoreCorruptionError(
             f"stack header truncated: {size} bytes, expected 28", offset=size
         )
-    version, w, h, n, fps, recoat = struct.unpack_from("<IIIIfI", header, 4)
+    version, w, h, n, fps = struct.unpack_from("<IIIIf", header, 4)
     if version != STACK_VERSION:
         raise StoreFormatError(f"unsupported stack version {version}")
     if n < 1:
@@ -298,4 +302,4 @@ def read_layer_stack(path):
             f"stack truncated: {size} bytes, expected {expected}", offset=size
         )
     frames = np.memmap(path, dtype="<u2", mode="r", offset=28, shape=(n, h, w))
-    return frames, float(fps), int(recoat)
+    return frames, float(fps)

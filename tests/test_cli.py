@@ -4,10 +4,11 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from irmap import cli
 from irmap.cli import RunConfig, load_config, main
 from irmap.geometry import box_mesh, mesh_to_binary_stl
 from irmap.radiometry import CalibrationProfile, forward_counts, profile_to_text
-from irmap.store import write_layer_stack
+from irmap.store import quantize_counts, read_layer_stack, write_layer_stack
 
 MINI_CONFIG = """\
 [run]
@@ -327,8 +328,18 @@ class TestPipeline:
         cfg = str(mini_build / "mini.ini")
         frames = mini_build / "frames"
         assert main(["simulate", "--config", cfg, "--out-dir", str(frames)]) == 0
-        assert (frames / "layer_0000.irfs").exists()
         assert (frames / "layer_0000.spatter.csv").exists()
+
+        # the file holds the in-memory window render, on ambient powder
+        on_disk, _ = read_layer_stack(str(frames / "layer_0000.irfs"))
+        run = load_config(cfg)
+        stack, _, _ = cli._simulate_layer(run, cli._voxelize_config(run), 0)
+        (y0, x0), (h, w) = stack.origin, stack.shape
+        powder = quantize_counts(forward_counts(80.0, run.profile.emissivity_powder, run.profile))
+        expected = np.full(on_disk.shape, powder, dtype=on_disk.dtype)
+        expected[:, y0 : y0 + h, x0 : x0 + w] = stack.frames
+        assert on_disk.shape[1:] == (64, 64) and (h, w) != (64, 64)
+        assert np.array_equal(on_disk, expected)
 
         cfg2 = mini_build / "mini2.ini"
         cfg2.write_text(

@@ -169,7 +169,7 @@ class TestMatchLoopOracles:
         path = str(tmp_path / "layer_0000.irfs")
         window = rendered_window(profile)[1]
         write_layer_stack(path, window.frames, window.fps)
-        frames, fps, _ = read_layer_stack(path)
+        frames, fps = read_layer_stack(path)
         assert frames.dtype == np.dtype("<u2")
         self.assert_same(LayerStack(frames, fps), profile)
 

@@ -1,7 +1,9 @@
 """Metamorphic invariants of the pipeline on the small test build.
 
 The invariant tests run `irmap extract` on a changed input that must leave
-the stored blocks as they were, and compare the blocks byte for byte. The
+the stored blocks as they were, and compare the blocks byte for byte; one
+replays the frames `irmap simulate` wrote, which must give the in-memory
+run's blocks. The
 camera is 128x96 px here, so the 10x10 px part can move by tens of pixels and
 stay in frame. The last test checks that a kept layer result holds no
 camera-frame array.
@@ -62,6 +64,15 @@ def test_camera_origin_shift_keeps_blocks(build, full, dx, dy):
         "origin_y = 32", f"origin_y = {32 + dy}"
     )
     assert extract(build, f"shift_{dx}_{dy}", config=moved) == full
+
+
+def test_replay_of_simulated_frames_equals_in_memory_run(build, full):
+    (build / "simulate.ini").write_text(CONFIG)
+    frames = build / "frames"
+    assert main(["simulate", "--config", str(build / "simulate.ini"), "--out-dir", str(frames)]) == 0
+    replay = CONFIG.replace("frames_dir = \n", f"frames_dir = {frames}\n")
+    assert replay != CONFIG
+    assert extract(build, "replay", config=replay) == full
 
 
 def _arrays(obj):

@@ -53,6 +53,20 @@ class TestForward:
         with pytest.raises(ParameterError):
             forward_counts(100.0, 1.5, profile)
 
+    @pytest.mark.parametrize("eps", [np.nan, np.array([0.63, np.nan])], ids=["scalar", "array"])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda e, p: forward_counts(100.0, e, p),
+            lambda e, p: invert_counts(5000.0, e, p),
+            lambda e, p: invert_counts_array(5000.0, e, p),
+        ],
+        ids=["forward_counts", "invert_counts", "invert_counts_array"],
+    )
+    def test_nan_emissivity_rejected(self, profile, call, eps):
+        with pytest.raises(ParameterError, match="emissivity"):
+            call(eps, profile)
+
 
 class TestInvert:
     def test_round_trip_spot_values(self, profile):

@@ -19,6 +19,7 @@ from irmap.simulator import (
     render_frames,
 )
 from irmap.spatial import PixelGridFrame
+from irmap.store import quantize_counts
 
 
 def small_mask(size_mm=3.6, layer=0, origin_px=(32.0, 24.0)):
@@ -92,9 +93,9 @@ class TestRender:
         stack, truth = render_frames(
             path, (64, 48), ThermalParams(), profile, noise_percent=0.0
         )
-        amb_counts = forward_counts(80.0, profile.emissivity_powder, profile)
+        amb_counts = quantize_counts(forward_counts(80.0, profile.emissivity_powder, profile))
         for t in range(3):
-            assert np.allclose(stack.frames[t], amb_counts, rtol=1e-6)
+            assert np.array_equal(stack.frames[t], np.full(stack.shape, amb_counts))
 
     def test_reproducible(self, profile):
         mask = small_mask()

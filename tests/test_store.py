@@ -186,15 +186,16 @@ class TestLayerStack:
         frames = rng.integers(0, 65535, size=(7, 12, 16)).astype(np.uint16)
         path = tmp_path / "layer_0000.irfs"
         write_layer_stack(str(path), frames, fps=30.0)
-        back, fps, recoat = read_layer_stack(str(path))
+        back, fps = read_layer_stack(str(path))
         assert fps == 30.0
-        assert recoat == 0
         assert np.array_equal(back, frames)
+        # the header's reserved last u32 (bytes 24..28) is always written as 0
+        assert path.read_bytes()[24:28] == b"\0\0\0\0"
 
     def test_frames_are_a_read_only_map(self, tmp_path):
         path = tmp_path / "layer_0000.irfs"
         write_layer_stack(str(path), np.ones((2, 3, 4)))
-        frames, _, _ = read_layer_stack(str(path))
+        frames, _ = read_layer_stack(str(path))
         assert isinstance(frames, np.memmap) and not frames.flags.writeable
 
     @pytest.mark.parametrize(
