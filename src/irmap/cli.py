@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import hashlib
+import os
 import sys
 import time
 from dataclasses import dataclass, field, fields
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import features as feat
 from . import geometry, radiometry, simulator, spatial, store
-from .errors import ConfigError, DataError, DegeneracyError, HorizonError
+from .errors import ConfigError, DataError, DegeneracyError, HorizonError, NoPrescanError
 from .errors import BelowFloorError, IllConditionedError, IrmapError, StoreFormatError
 
 EXIT_OK = 0
@@ -122,8 +123,6 @@ class RunConfig:
             raise ConfigError(f"cannot read profile {path}: {exc}") from exc
 
     def _resolve(self, rel: str) -> str:
-        import os
-
         return rel if os.path.isabs(rel) else os.path.join(self.config_dir, rel)
 
     def registration(self) -> spatial.PixelGridFrame:
@@ -170,8 +169,6 @@ def _set(cfg: RunConfig, section: str, key: str, text: str) -> None:
 def load_config(path: str, args=None) -> RunConfig:
     """Read a UTF-8 key-value config file, apply the command-line flags in
     `args` (an argparse namespace) over it, and validate the result."""
-    import os
-
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser()
@@ -260,14 +257,16 @@ def _simulate_layer(cfg: RunConfig, vox: geometry.VoxelMesh, layer: int):
     return stack, truth, mask
 
 
+def _stack_path(cfg: RunConfig, layer: int) -> str:
+    return os.path.join(cfg._resolve(cfg.frames_dir), f"layer_{layer:04d}.irfs")
+
+
 def _load_layer(cfg: RunConfig, vox: geometry.VoxelMesh, layer: int):
     """Read one layer's frame stack from a directory of stack files: a u16
     copy of the layer's part window."""
-    import os
-
     reg = cfg.registration()
     mask = geometry.layer_mask(vox, layer, reg)
-    path = os.path.join(cfg._resolve(cfg.frames_dir), f"layer_{layer:04d}.irfs")
+    path = _stack_path(cfg, layer)
     if not os.path.exists(path):
         raise ConfigError(f"frame stack not found: {path}")
     try:
@@ -290,9 +289,12 @@ def process_layer(cfg: RunConfig, vox: geometry.VoxelMesh, layer: int) -> LayerR
         stack, truth, mask = _load_layer(cfg, vox, layer)
     else:
         stack, truth, mask = _simulate_layer(cfg, vox, layer)
-    result = feat.extract_layer(
-        stack, cfg.profile, mask, cfg.params(feat.FeatureParams)
-    )
+    try:
+        result = feat.extract_layer(stack, cfg.profile, mask, cfg.params(feat.FeatureParams))
+    except NoPrescanError as exc:
+        if not cfg.frames_dir:
+            raise
+        raise NoPrescanError(f"{_stack_path(cfg, layer)}: {exc}") from exc
     return LayerResult(
         layer=layer,
         frame_count=len(stack),
@@ -356,8 +358,6 @@ def _manifest(
 
 def run_pipeline(cfg: RunConfig, write_files: bool = True) -> PipelineResult:
     """Simulate (or load) every layer, extract features, write store + manifest."""
-    import os
-
     vox = _voxelize_config(cfg)
     layers = _layer_range(cfg, vox)
     if cfg.jobs > 1:
@@ -458,8 +458,6 @@ cooling_window = 30
 
 def write_demo(out_dir: str) -> str:
     """Write the bundled 20-layer demo build (config + geometry); returns config path."""
-    import os
-
     os.makedirs(out_dir, exist_ok=True)
     mesh = geometry.box_mesh((19.44, 19.44, 0.8))
     with open(os.path.join(out_dir, "box.stl"), "wb") as fh:
@@ -539,9 +537,17 @@ def _cmd_voxelize(args) -> int:
     return EXIT_OK
 
 
-def _cmd_simulate(args) -> int:
-    import os
+def _camera_frames(stack: feat.LayerStack, frame: np.ndarray):
+    """Yield `frame` once per stack frame, with that frame's window pasted
+    in: one camera frame is held at a time."""
+    (y0, x0), (h, w) = stack.origin, stack.shape
+    window = frame[y0 : y0 + h, x0 : x0 + w]
+    for counts in stack.frames:
+        window[...] = counts
+        yield frame
 
+
+def _cmd_simulate(args) -> int:
     cfg = load_config(args.config, args)
     vox = _voxelize_config(cfg)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -552,11 +558,11 @@ def _cmd_simulate(args) -> int:
     )
     for layer in _layer_range(cfg, vox):
         stack, truth, _mask = _simulate_layer(cfg, vox, layer)
-        (y0, x0), (h, w) = stack.origin, stack.shape
-        frames = np.full((len(stack), cfg.cam_height, cfg.cam_width), powder, dtype="<u2")
-        frames[:, y0 : y0 + h, x0 : x0 + w] = stack.frames
+        frame = np.full((cfg.cam_height, cfg.cam_width), powder, dtype="<u2")
         store.write_layer_stack(
-            os.path.join(args.out_dir, f"layer_{layer:04d}.irfs"), frames, fps=cfg.fps
+            os.path.join(args.out_dir, f"layer_{layer:04d}.irfs"),
+            _camera_frames(stack, frame),
+            fps=cfg.fps,
         )
         with open(
             os.path.join(args.out_dir, f"layer_{layer:04d}.spatter.csv"),
@@ -600,8 +606,6 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    import os
-
     with open(args.store, "rb") as fh:
         data = fh.read()
     fstore = store.read_store(data)

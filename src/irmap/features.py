@@ -19,8 +19,8 @@ import numpy as np
 from . import imageops
 from .errors import NoPrescanError, ParameterError
 from .geometry import LayerMask
-from .imageops import LabelGrid, ReductionState, fold_max_argmax
-from .radiometry import CalibrationProfile, forward_counts, invert_counts_array
+from .imageops import LabelGrid
+from .radiometry import CalibrationProfile, background_counts, forward_counts, invert_counts_array
 
 UNSCANNED = -1
 
@@ -123,28 +123,24 @@ def _to_temperature(frame, eps: float, profile: CalibrationProfile):
     return values, valid
 
 
+def lit_frames(stack: LayerStack, profile: CalibrationProfile) -> np.ndarray:
+    """(n,) bool: the frames in which some pixel is above the activity threshold."""
+    return stack.frames.max(axis=(1, 2)) > activity_threshold(profile)
+
+
 def interpass(stack: LayerStack, profile: CalibrationProfile) -> FeatureMap:
     """Mean powder-emissivity temperature of the pre-scan frames."""
-    thr = activity_threshold(profile)
-    k = len(stack)
-    for t in range(len(stack)):
-        if (stack.frames[t] > thr).any():
-            k = t
-            break
+    lit = lit_frames(stack, profile)
+    k = int(lit.argmax()) if lit.any() else len(stack)
     if k == 0:
-        raise NoPrescanError("laser already active in frame 0")
+        raise NoPrescanError(f"layer {stack.layer}: laser already active in frame 0")
     k = min(k, INTERPASS_FRAME_CAP)
-    acc = np.zeros(stack.shape)
-    valid = np.ones(stack.shape, dtype=bool)
-    for t in range(k):
-        values, ok = _to_temperature(stack.frames[t], profile.emissivity_powder, profile)
-        acc += values
-        valid &= ok
+    values, ok = _to_temperature(stack.frames[:k], profile.emissivity_powder, profile)
     return FeatureMap(
         feature_id=FeatureId.INTERPASS,
         layer=stack.layer,
-        grid=acc / k,
-        validity=valid,
+        grid=values.sum(axis=0) / k,
+        validity=ok.all(axis=0),
     )
 
 
@@ -152,21 +148,18 @@ def heat_intensity_and_scan_order(
     stack: LayerStack, profile: CalibrationProfile
 ) -> tuple[FeatureMap, FeatureMap]:
     """Raw-count running maximum (emissivity treated as 1.0) and its frame index."""
-    thr = activity_threshold(profile)
-    state = ReductionState.empty(stack.shape)
-    for t in range(len(stack)):
-        fold_max_argmax(state, stack.frames[t], t)
-    scanned = state.max_value > thr
+    peak, frame = imageops.fold_max_argmax(stack.frames)
+    scanned = peak > activity_threshold(profile)
     intensity = FeatureMap(
         feature_id=FeatureId.HEAT_INTENSITY,
         layer=stack.layer,
-        grid=np.where(scanned, state.max_value, np.nan),
+        grid=np.where(scanned, peak, np.nan),
         validity=scanned.copy(),
     )
     order = FeatureMap(
         feature_id=FeatureId.SCAN_ORDER,
         layer=stack.layer,
-        grid=np.where(scanned, state.argmax_frame, UNSCANNED).astype(np.float64),
+        grid=np.where(scanned, frame, UNSCANNED).astype(np.float64),
         validity=scanned.copy(),
     )
     return intensity, order
@@ -207,17 +200,25 @@ def max_predeposition(
     offset: int = 10,
 ) -> FeatureMap:
     """Maximum powder-emissivity temperature over frames [0, scan - offset]
-    (frame 0 alone for a pixel scanned before frame `offset`)."""
+    (frame 0 alone for a pixel scanned before frame `offset`).
+
+    Inversion increases with counts, so this is the inverse of the running
+    maximum count. `_to_temperature` pins below-floor counts to the reflected
+    temperature, so it is raised to that where the running minimum count
+    reached the floor."""
     s = _scan_frames(scan_order)
     valid = s >= 0
-    target = np.maximum(s - offset, 0)
+    ys, xs = np.nonzero(valid)
+    target = np.maximum(s[ys, xs] - offset, 0)
+    counts = stack.frames[: target.max(initial=0) + 1, ys, xs]  # (frames, pixels)
+    at = (target, np.arange(len(target)))
+    high = np.maximum.accumulate(counts)[at]
+    low = np.minimum.accumulate(counts)[at]
+    eps = profile.emissivity_powder
+    temp, _ = _to_temperature(high, eps, profile)
+    pinned = np.maximum(temp, profile.reflected_temperature_c)
     grid = np.full(stack.shape, np.nan)
-    part_target = target[valid]  # the running maximum is kept for valid pixels only
-    running = np.full(part_target.shape, -np.inf)
-    for t in range(int(part_target.max()) + 1 if valid.any() else 0):
-        values, _ = _to_temperature(stack.frames[t][valid], profile.emissivity_powder, profile)
-        running = np.maximum(running, values)
-        grid[valid & (target == t)] = running[part_target == t]
+    grid[ys, xs] = np.where(low <= background_counts(eps, profile), pinned, temp)
     return FeatureMap(
         feature_id=FeatureId.MAX_PREDEPOSITION,
         layer=stack.layer,
@@ -333,12 +334,9 @@ def spatter_layer(
     landing = np.zeros(stack.shape)
     registry = np.zeros(stack.shape, dtype=bool)
     records: list[SpatterRecord] = []
-    thr = activity_threshold(profile)
-
-    for t in range(len(stack)):
+    # a frame with no laser in view has nothing emitting spatter
+    for t in np.flatnonzero(lit_frames(stack, profile)).tolist():
         frame = stack.frames[t]
-        if float(frame.max()) <= thr:
-            continue  # no laser in view: nothing is emitting spatter
         _, clusters = spatter_frame_filter(
             frame, near_laser_mask(s, t) | registry, params.spatter_floor_sigmas
         )

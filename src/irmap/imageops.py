@@ -9,7 +9,7 @@ and a constant produces exactly zero; oracle tests rely on both properties.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -238,41 +238,15 @@ def label_components(binary, connectivity: int = 4) -> LabelGrid:
     return LabelGrid(labels=labels, count=counts)
 
 
-UNSEEN_FRAME = -1
-
-
-@dataclass
-class ReductionState:
-    """Streaming per-pixel running maximum with the frame index attaining it."""
-
-    max_value: np.ndarray
-    argmax_frame: np.ndarray
-    last_index: int = field(default=UNSEEN_FRAME)
-
-    @classmethod
-    def empty(cls, shape: tuple[int, int]) -> "ReductionState":
-        return cls(
-            max_value=np.full(shape, -np.inf, dtype=np.float64),
-            argmax_frame=np.full(shape, UNSEEN_FRAME, dtype=np.int64),
-        )
-
-
-def fold_max_argmax(state: ReductionState, frame, frame_idx: int) -> ReductionState:
-    """Fold one frame into the running max; ties keep the earlier frame."""
-    f = _as_grid(frame)
-    if f.shape != state.max_value.shape:
-        raise ParameterError(
-            f"frame shape {f.shape} does not match state shape {state.max_value.shape}"
-        )
-    if frame_idx <= state.last_index:
-        raise ParameterError(
-            f"frame_idx {frame_idx} not greater than last folded index {state.last_index}"
-        )
-    better = f > state.max_value  # strict: first attainment wins
-    state.max_value[better] = f[better]
-    state.argmax_frame[better] = frame_idx
-    state.last_index = frame_idx
-    return state
+def fold_max_argmax(frames) -> tuple[np.ndarray, np.ndarray]:
+    """Per-pixel float64 maximum of a (n, h, w) stack and the first frame
+    that reaches it: ties keep the earlier frame."""
+    f = np.asarray(frames)
+    if f.ndim != 3 or 0 in f.shape:
+        raise ParameterError(f"expected a (frames, h, w) stack, got shape {f.shape}")
+    if f.dtype.kind not in "biu" and not np.isfinite(f).all():
+        raise ParameterError("stack contains non-finite values")
+    return f.max(axis=0).astype(np.float64), f.argmax(axis=0)
 
 
 def dilate_disk(binary: np.ndarray, radius: int) -> np.ndarray:

@@ -262,16 +262,23 @@ def quantize_counts(counts) -> np.ndarray:
 
 def write_layer_stack(path, frames, fps: float = 30.0) -> None:
     """Persist one layer's frames: header + contiguous u16 count frames, each
-    quantized by `quantize_counts`. The header's last u32 is reserved, 0."""
-    frames = np.asarray(frames)
-    if frames.ndim != 3:
-        raise ParameterError(f"expected (frames, h, w), got shape {frames.shape}")
-    n, h, w = frames.shape
+    quantized by `quantize_counts`. The header's last u32 is reserved, 0.
+
+    `frames` is a (n, h, w) array or any iterable of equal (h, w) frames,
+    written as they come, so a caller can hold one frame at a time."""
+    n, shape = 0, None
     with open(path, "wb") as f:
-        f.write(STACK_MAGIC)
-        f.write(struct.pack("<IIIIfI", STACK_VERSION, w, h, n, fps, 0))
-        for frame in frames:
-            f.write(quantize_counts(frame).tobytes())
+        f.seek(28)  # the header follows once the frames are counted
+        for n, frame in enumerate(frames, 1):
+            q = quantize_counts(frame)
+            if q.ndim != 2 or shape not in (None, q.shape):
+                raise ParameterError(f"expected (frames, h, w), got a frame of shape {q.shape}")
+            shape = q.shape
+            f.write(q.tobytes())
+        if not n:
+            raise ParameterError("a layer stack needs at least 1 frame")
+        f.seek(0)
+        f.write(STACK_MAGIC + struct.pack("<IIIIfI", STACK_VERSION, *shape[::-1], n, fps, 0))
 
 
 def read_layer_stack(path):

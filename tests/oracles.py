@@ -5,7 +5,9 @@ version that the package used before its kernels worked on whole arrays.
 `gaussian_blur`, which only tests use, lives here too, and so does the
 spatter detector that gates every cluster on its own after filtering the
 whole frame. The calibration fits invert one sample at a time, and the
-pre-deposition and cooling extractors one target frame at a time.
+pre-deposition and cooling extractors one target frame at a time. The
+heat-intensity fold, the interpass mean and the maximum pre-deposition walk
+the stack one frame at a time.
 """
 
 from __future__ import annotations
@@ -15,9 +17,15 @@ from dataclasses import replace
 
 import numpy as np
 
-from irmap.errors import BelowFloorError, DegenerateHistogramError, ParameterError
+from irmap.errors import (
+    BelowFloorError,
+    DegenerateHistogramError,
+    NoPrescanError,
+    ParameterError,
+)
 from irmap import imageops
 from irmap.features import (
+    INTERPASS_FRAME_CAP,
     SPATTER_BLOB_SIGMA,
     SPATTER_DILATION_PX,
     SPATTER_MASK_SIGMA,
@@ -467,3 +475,53 @@ def cooling_rate(stack, scan_order, profile, window: int = 30):
         cooled, _ = _to_temperature(stack.frames[t + window][sel], eps, profile)
         grid[sel] = (hot - cooled) * (stack.fps / window)
     return FeatureMap(FeatureId.COOLING_RATE, stack.layer, grid, valid)
+
+
+def fold_max_argmax(frames):
+    """Running per-pixel maximum folded in one frame at a time; a frame
+    replaces it only where strictly greater, so ties keep the earlier frame."""
+    peak = np.full(np.shape(frames)[1:], -np.inf)
+    frame = np.full(peak.shape, -1, dtype=np.int64)
+    for t in range(len(frames)):
+        f = _as_grid(frames[t])
+        better = f > peak
+        peak[better] = f[better]
+        frame[better] = t
+    return peak, frame
+
+
+def interpass(stack, profile):
+    """`features.interpass` searching for the first lit frame and adding up
+    the pre-scan frames one at a time."""
+    thr = activity_threshold(profile)
+    k = len(stack)
+    for t in range(len(stack)):
+        if (stack.frames[t] > thr).any():
+            k = t
+            break
+    if k == 0:
+        raise NoPrescanError(f"layer {stack.layer}: laser already active in frame 0")
+    k = min(k, INTERPASS_FRAME_CAP)
+    acc = np.zeros(stack.shape)
+    valid = np.ones(stack.shape, dtype=bool)
+    for t in range(k):
+        values, ok = _to_temperature(stack.frames[t], profile.emissivity_powder, profile)
+        acc += values
+        valid &= ok
+    return FeatureMap(FeatureId.INTERPASS, stack.layer, acc / k, valid)
+
+
+def max_predeposition(stack, scan_order, profile, offset: int = 10):
+    """`features.max_predeposition` keeping a running maximum temperature of
+    the scanned pixels, inverted one frame at a time."""
+    s = _scan_frames(scan_order)
+    valid = s >= 0
+    target = np.maximum(s - offset, 0)
+    grid = np.full(stack.shape, np.nan)
+    part_target = target[valid]
+    running = np.full(part_target.shape, -np.inf)
+    for t in range(int(part_target.max()) + 1 if valid.any() else 0):
+        values, _ = _to_temperature(stack.frames[t][valid], profile.emissivity_powder, profile)
+        running = np.maximum(running, values)
+        grid[valid & (target == t)] = running[part_target == t]
+    return FeatureMap(FeatureId.MAX_PREDEPOSITION, stack.layer, grid, valid)

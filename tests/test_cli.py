@@ -221,6 +221,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "layer 0" in err and "layer_0000.irfs" in err
 
+    def test_laser_in_frame_zero_names_layer_and_file(self, mini_build, capsys):
+        frames = np.full((40, 64, 64), forward_counts(80.0, 0.63, CalibrationProfile()))
+        frames[0, 32, 32] = 60000  # the part's centre, lit before any pre-scan frame
+        (mini_build / "frames").mkdir()
+        stack = mini_build / "frames" / "layer_0000.irfs"
+        write_layer_stack(stack, frames)
+        cfg = mini_build / "mini.ini"
+        cfg.write_text(MINI_CONFIG.format(frames_dir="frames"))
+        assert main(["extract", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err == f"data error: {stack}: layer 0: laser already active in frame 0\n"
+
     @pytest.mark.parametrize(
         "text, where",
         [

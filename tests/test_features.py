@@ -1,7 +1,10 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 import oracles
+from irmap import imageops
 from irmap.errors import NoPrescanError, ParameterError
 from irmap.features import (
     WINDOW_PAD,
@@ -21,7 +24,12 @@ from irmap.features import (
     melt_threshold,
 )
 from irmap.geometry import box_mesh, layer_mask, map_layer_feature, voxelize
-from irmap.radiometry import forward_counts, invert_counts
+from irmap.radiometry import (
+    background_counts,
+    forward_counts,
+    invert_counts,
+    invert_counts_array,
+)
 from irmap.simulator import ScanParameters, ThermalParams, generate_scan_path, render_frames
 from irmap.spatial import PixelGridFrame
 from irmap.store import read_layer_stack, write_layer_stack
@@ -172,6 +180,75 @@ class TestMatchLoopOracles:
         frames, fps = read_layer_stack(path)
         assert frames.dtype == np.dtype("<u2")
         self.assert_same(LayerStack(frames, fps), profile)
+
+
+def random_u16_stack(rng, profile):
+    """A small u16 stack with a few scanned pixels over a background of
+    counts below the powder floor (0-198), counts that invert below the
+    reflected temperature (199-375) or warmer powder; some stacks use few
+    levels, so counts repeat across frames, and some have no lit frame."""
+    n, h, w = int(rng.integers(1, 25)), int(rng.integers(2, 7)), int(rng.integers(2, 7))
+    frames = rng.integers(0, rng.choice([199, 376, 1000]), size=(n, h, w))
+    if rng.random() < 0.3:
+        frames = frames // 60 * 60
+    hot = int(activity_threshold(profile)) + 1
+    scanned = int(rng.integers(0, h * w)) if rng.random() < 0.8 else 0
+    for _ in range(scanned):
+        t, y, x = rng.integers(0, n), rng.integers(0, h), rng.integers(0, w)
+        frames[t, y, x] = rng.choice([hot, 40000])
+    return frames.astype(np.uint16)
+
+
+class TestWholeStackReductions:
+    """The whole-stack heat intensity, interpass and maximum pre-deposition
+    equal `oracles`' per-frame loops byte for byte."""
+
+    def test_inversion_increases_with_counts(self, profile):
+        # the premise of `max_predeposition`: the maximum count inverts to
+        # the maximum temperature
+        temps, valid = invert_counts_array(np.arange(65536), profile.emissivity_powder, profile)
+        assert valid.argmax() == 199 and (np.diff(temps[valid]) > 0).all()
+
+    def test_random_u16_stacks(self, profile, rng):
+        eps = profile.emissivity_powder
+        floor = background_counts(eps, profile)
+        reflected = forward_counts(profile.reflected_temperature_c, eps, profile)
+        seen = Counter()
+        for _ in range(300):
+            stack = LayerStack(random_u16_stack(rng, profile), layer=int(rng.integers(0, 20)))
+            got = imageops.fold_max_argmax(stack.frames)
+            want = oracles.fold_max_argmax(stack.frames)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
+
+            _, order = heat_intensity_and_scan_order(stack, profile)
+            offset = int(rng.choice([0, 3, 10]))
+            pairs = [
+                (
+                    max_predeposition(stack, order, profile, offset),
+                    oracles.max_predeposition(stack, order, profile, offset),
+                )
+            ]
+            try:
+                want_interpass = oracles.interpass(stack, profile)
+            except NoPrescanError:
+                with pytest.raises(NoPrescanError, match=f"^layer {stack.layer}: laser"):
+                    interpass(stack, profile)
+                seen["lit in frame 0"] += 1
+            else:
+                pairs.append((interpass(stack, profile), want_interpass))
+            for new, old in pairs:
+                assert np.array_equal(new.validity, old.validity)
+                assert new.grid.tobytes() == old.grid.tobytes()
+
+            f, s = stack.frames, order.grid[order.validity]
+            seen["below floor"] += bool((f <= floor).any())
+            seen["below reflected"] += bool(((f > floor) & (f < reflected)).any())
+            seen["tie"] += bool(((f == f.max(axis=0)).sum(axis=0) > 1).any())
+            seen["target frame 0"] += bool((s - offset <= 0).any())
+            seen["unscanned"] += not order.validity.all()
+            seen["no lit frame"] += not order.validity.any()
+        assert len(seen) == 7 and min(seen.values()) >= 20, seen
 
 
 class TestMeltPool:

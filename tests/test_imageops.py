@@ -4,7 +4,6 @@ import pytest
 from irmap import imageops
 from irmap.errors import DegenerateHistogramError, ParameterError
 from irmap.imageops import (
-    ReductionState,
     dilate_disk,
     fold_max_argmax,
     gaussian_gradient_magnitude,
@@ -13,6 +12,7 @@ from irmap.imageops import (
     label_components,
     otsu_thresholds,
 )
+import oracles
 from oracles import gaussian_blur
 
 
@@ -234,39 +234,37 @@ class TestLabelComponents:
 
 class TestFoldMaxArgmax:
     def test_single_frame(self):
-        st = ReductionState.empty((3, 3))
-        f = np.arange(9.0).reshape(3, 3)
-        fold_max_argmax(st, f, 0)
-        assert (st.max_value == f).all()
-        assert (st.argmax_frame == 0).all()
+        f = np.arange(9.0).reshape(1, 3, 3)
+        peak, frame = fold_max_argmax(f)
+        assert peak.dtype == np.float64 and (peak == f[0]).all()
+        assert (frame == 0).all()
 
     def test_tie_keeps_earlier_frame(self):
-        st = ReductionState.empty((1, 1))
-        for idx, v in enumerate([5.0, 9.0, 9.0, 3.0]):
-            fold_max_argmax(st, np.array([[v]]), idx)
-        assert st.max_value[0, 0] == 9.0
-        assert st.argmax_frame[0, 0] == 1
+        stack = np.array([5, 9, 9, 3], dtype=np.uint16).reshape(4, 1, 1)
+        peak, frame = fold_max_argmax(stack)
+        assert peak[0, 0] == 9.0
+        assert frame[0, 0] == 1
 
     def test_matches_dense_stack_oracle(self, rng):
         for _ in range(50):
-            stack = rng.random((rng.integers(2, 8), 9, 9))
-            st = ReductionState.empty((9, 9))
-            for idx in range(len(stack)):
-                fold_max_argmax(st, stack[idx], idx)
-            assert np.array_equal(st.max_value, stack.max(axis=0))
-            attained = np.take_along_axis(stack, st.argmax_frame[None], axis=0)[0]
-            assert np.array_equal(attained, stack.max(axis=0))
-
-    def test_nonincreasing_index_rejected(self):
-        st = ReductionState.empty((2, 2))
-        fold_max_argmax(st, np.ones((2, 2)), 3)
-        with pytest.raises(ParameterError):
-            fold_max_argmax(st, np.ones((2, 2)), 3)
+            n = rng.integers(1, 8)
+            # few levels, so most pixels reach their maximum in several frames
+            for stack in (rng.random((n, 9, 9)), rng.integers(0, 4, (n, 9, 9), dtype=np.uint16)):
+                got, want = fold_max_argmax(stack), oracles.fold_max_argmax(stack)
+                assert got[0].tobytes() == want[0].tobytes()
+                assert got[1].tobytes() == want[1].tobytes()
 
     def test_dim_mismatch_rejected(self):
-        st = ReductionState.empty((2, 2))
-        with pytest.raises(ParameterError):
-            fold_max_argmax(st, np.ones((3, 2)), 0)
+        for shape in [(3, 3), (2, 2, 2, 2), (0, 2, 2), (2, 0, 2)]:
+            with pytest.raises(ParameterError, match="stack"):
+                fold_max_argmax(np.ones(shape))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        stack = np.ones((3, 2, 2))
+        stack[1, 0, 1] = bad  # -inf never reaches the maximum, and is still rejected
+        with pytest.raises(ParameterError, match="non-finite"):
+            fold_max_argmax(stack)
 
 
 class TestDilateDisk:

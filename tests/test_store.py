@@ -192,6 +192,22 @@ class TestLayerStack:
         # the header's reserved last u32 (bytes 24..28) is always written as 0
         assert path.read_bytes()[24:28] == b"\0\0\0\0"
 
+    def test_frames_written_one_at_a_time(self, tmp_path, rng):
+        frames = rng.integers(0, 65535, size=(5, 6, 7)).astype(np.uint16)
+        whole, single = tmp_path / "whole.irfs", tmp_path / "single.irfs"
+        write_layer_stack(str(whole), frames, fps=25.0)
+        write_layer_stack(str(single), (frame for frame in frames), fps=25.0)
+        assert single.read_bytes() == whole.read_bytes()
+
+    @pytest.mark.parametrize(
+        "frames",
+        [np.ones((3, 4)), [np.ones((3, 4)), np.ones((4, 3))], np.ones((0, 3, 4))],
+        ids=["2d", "ragged", "empty"],
+    )
+    def test_bad_frames_rejected(self, tmp_path, frames):
+        with pytest.raises(ParameterError):
+            write_layer_stack(str(tmp_path / "layer_0000.irfs"), frames)
+
     def test_frames_are_a_read_only_map(self, tmp_path):
         path = tmp_path / "layer_0000.irfs"
         write_layer_stack(str(path), np.ones((2, 3, 4)))
