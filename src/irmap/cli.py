@@ -211,6 +211,7 @@ class LayerResult:
     truth: simulator.GroundTruth | None
     mask: geometry.LayerMask
     seconds: float = 0.0
+    stage_seconds: dict[str, float] = field(default_factory=dict)  # by function name
 
 
 @dataclass
@@ -286,22 +287,25 @@ def _load_layer(cfg: RunConfig, vox: geometry.VoxelMesh, layer: int):
 def process_layer(cfg: RunConfig, vox: geometry.VoxelMesh, layer: int) -> LayerResult:
     t0 = time.perf_counter()
     if cfg.frames_dir:
-        stack, truth, mask = _load_layer(cfg, vox, layer)
+        source, (stack, truth, mask) = "cli._load_layer", _load_layer(cfg, vox, layer)
     else:
-        stack, truth, mask = _simulate_layer(cfg, vox, layer)
+        source, (stack, truth, mask) = "cli._simulate_layer", _simulate_layer(cfg, vox, layer)
+    t1 = time.perf_counter()
     try:
         result = feat.extract_layer(stack, cfg.profile, mask, cfg.params(feat.FeatureParams))
     except NoPrescanError as exc:
         if not cfg.frames_dir:
             raise
         raise NoPrescanError(f"{_stack_path(cfg, layer)}: {exc}") from exc
+    t2 = time.perf_counter()
     return LayerResult(
         layer=layer,
         frame_count=len(stack),
         features=result,
         truth=truth,
         mask=mask,
-        seconds=time.perf_counter() - t0,
+        seconds=t2 - t0,
+        stage_seconds={source: t1 - t0, "features.extract_layer": t2 - t1},
     )
 
 
@@ -397,7 +401,11 @@ def run_pipeline(cfg: RunConfig, write_files: bool = True) -> PipelineResult:
             fh.write(blob)
         with open(out + ".manifest.txt", "w", encoding="utf-8") as fh:
             fh.write(manifest)
-        timing = [f"layer {r.layer}: {r.seconds:.3f} s" for r in results]
+        timing = [
+            f"layer {r.layer}: {r.seconds:.3f} s"
+            + "".join(f"; {name}: {s:.3f} s" for name, s in r.stage_seconds.items())
+            for r in results
+        ]
         with open(out + ".timings.txt", "w", encoding="utf-8") as fh:
             fh.write("\n".join(timing) + "\n")
     return PipelineResult(

@@ -229,10 +229,10 @@ def max_predeposition(
 
 def _grown_box(px: np.ndarray, grow: int) -> tuple[slice, slice]:
     """Bounding box of the set pixels grown by `grow` px, clipped to the grid."""
-    rows, cols = np.nonzero(px)
+    rows, cols = np.flatnonzero(px.any(axis=1)), np.flatnonzero(px.any(axis=0))
     return (
-        slice(max(0, int(rows.min()) - grow), int(rows.max()) + grow + 1),
-        slice(max(0, int(cols.min()) - grow), int(cols.max()) + grow + 1),
+        slice(max(0, int(rows[0]) - grow), int(rows[-1]) + grow + 1),
+        slice(max(0, int(cols[0]) - grow), int(cols[-1]) + grow + 1),
     )
 
 

@@ -250,22 +250,25 @@ def fold_max_argmax(frames) -> tuple[np.ndarray, np.ndarray]:
 
 
 def dilate_disk(binary: np.ndarray, radius: int) -> np.ndarray:
-    """Binary dilation with a Euclidean disk footprint of the given radius."""
+    """Binary dilation with a Euclidean disk footprint of the given radius.
+
+    The disk is a stack of row spans (chords): row dy holds the offsets
+    |dx| <= isqrt(r^2 - dy^2). So the grid is dilated along rows by each
+    half-width once, and each row-dilated grid is ORed in at its rows' two
+    vertical shifts: 4r slice-ORs for radius r.
+    """
     b = np.asarray(binary, dtype=bool)
     if radius <= 0:
         return b.copy()
-    out = b.copy()
-    h, w = b.shape
-    for di in range(-radius, radius + 1):
-        for dj in range(-radius, radius + 1):
-            if di == 0 and dj == 0 or di * di + dj * dj > radius * radius:
-                continue
-            src = b[
-                max(0, -di) : h - max(0, di),
-                max(0, -dj) : w - max(0, dj),
-            ]
-            out[
-                max(0, di) : h - max(0, -di),
-                max(0, dj) : w - max(0, -dj),
-            ] |= src
+    spans = [b]  # spans[k]: b dilated by the row span [-k, k]
+    for k in range(1, radius + 1):
+        s = spans[-1].copy()
+        s[:, k:] |= b[:, :-k]
+        s[:, :-k] |= b[:, k:]
+        spans.append(s)
+    out = spans[radius].copy()
+    for dy in range(1, radius + 1):
+        s = spans[math.isqrt(radius * radius - dy * dy)]
+        out[dy:] |= s[:-dy]
+        out[:-dy] |= s[dy:]
     return out

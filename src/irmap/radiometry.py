@@ -13,6 +13,7 @@ import configparser
 import io
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -36,18 +37,23 @@ class RadianceModel:
 
     def signal(self, t_c):
         """Blackbody band signal in counts at temperature t_c (degC)."""
-        t_k = np.asarray(t_c, dtype=np.float64) + KELVIN_OFFSET
-        if np.any(t_k <= 0):
+        t = np.add(t_c, KELVIN_OFFSET, dtype=np.float64)
+        if (t <= 0).any():
             raise ParameterError("temperature at or below absolute zero")
-        return self.c_counts / np.expm1(C2_UM_K / (self.a_um * t_k + self.b_um_k))
+        out = t if t.ndim else None  # an array is worked in place; a scalar is immutable
+        x = np.divide(C2_UM_K, np.add(np.multiply(t, self.a_um, out=out), self.b_um_k, out=out), out=out)
+        return np.divide(self.c_counts, np.expm1(x, out=out), out=out)
 
     def temperature(self, signal):
         """Inverse of :meth:`signal`; signal must be strictly positive."""
         s = np.asarray(signal, dtype=np.float64)
-        if np.any(s <= 0):
+        if (s <= 0).any():
             raise ParameterError("signal must be positive to invert")
-        t_k = (C2_UM_K / np.log1p(self.c_counts / s) - self.b_um_k) / self.a_um
-        return t_k - KELVIN_OFFSET
+        x = np.divide(self.c_counts, s)
+        out = x if x.ndim else None
+        x = np.divide(C2_UM_K, np.log1p(x, out=out), out=out)
+        x = np.divide(np.subtract(x, self.b_um_k, out=out), self.a_um, out=out)
+        return np.subtract(x, KELVIN_OFFSET, out=out)
 
 
 @dataclass(frozen=True)
@@ -66,29 +72,37 @@ class CalibrationProfile:
 
 
 def _validate_eps(eps) -> None:
-    e = np.asarray(eps, dtype=np.float64)
-    if not np.all((e > 0.0) & (e <= 1.0)):  # a NaN fails both comparisons
+    if np.isscalar(eps):
+        ok = 0.0 < eps <= 1.0
+    else:
+        e = np.asarray(eps, dtype=np.float64)
+        ok = np.all((e > 0.0) & (e <= 1.0))
+    if not ok:  # a NaN fails both comparisons
         raise ParameterError("emissivity must be in (0, 1]")
+
+
+@lru_cache(maxsize=64)
+def _reflected_signal(model: RadianceModel, reflected_temperature_c: float):
+    return model.signal(reflected_temperature_c)
 
 
 def background_counts(eps, profile: CalibrationProfile):
     """Non-object term: reflected ambient through the window plus window glow."""
     tau = profile.window_transmission
-    s_refl = profile.model.signal(profile.reflected_temperature_c)
+    s_refl = _reflected_signal(profile.model, profile.reflected_temperature_c)
     s_win = s_refl  # window assumed at the reflected/ambient temperature
-    e = np.asarray(eps, dtype=np.float64)
-    return tau * (1.0 - e) * s_refl + (1.0 - tau) * s_win
+    b = np.subtract(1.0, eps, dtype=np.float64)
+    out = b if b.ndim else None  # an array is worked in place; a scalar is immutable
+    b = np.multiply(np.multiply(b, tau, out=out), s_refl, out=out)
+    return np.add(b, (1.0 - tau) * s_win, out=out)
+
 
 def forward_counts(t_obj_c, eps, profile: CalibrationProfile):
     """Counts seen by the camera for an object at t_obj_c with emissivity eps."""
     _validate_eps(eps)
-    tau = profile.window_transmission
-    e = np.asarray(eps, dtype=np.float64)
-    s_obj = profile.model.signal(t_obj_c)
-    out = tau * e * s_obj + background_counts(eps, profile)
-    if np.isscalar(t_obj_c) and np.isscalar(eps):
-        return float(out)
-    return out
+    counts = np.multiply(profile.window_transmission, eps, dtype=np.float64) * profile.model.signal(t_obj_c)
+    counts += background_counts(eps, profile)  # broadcasts to no more than counts' shape
+    return float(counts) if np.isscalar(t_obj_c) and np.isscalar(eps) else counts
 
 
 def invert_counts(counts: float, eps: float, profile: CalibrationProfile) -> float:
@@ -111,7 +125,7 @@ def invert_counts_array(counts, eps, profile: CalibrationProfile):
     are NaN with valid=False instead of raising."""
     _validate_eps(eps)
     c = np.asarray(counts, dtype=np.float64)
-    e = np.broadcast_to(np.asarray(eps, dtype=np.float64), c.shape)
+    e = np.asarray(eps, dtype=np.float64)
     floor = background_counts(e, profile)
     valid = c > floor
     s_obj = np.where(valid, (c - floor) / (profile.window_transmission * e), 1.0)

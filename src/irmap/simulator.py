@@ -156,26 +156,24 @@ def generate_scan_path(
     dt = step / params.scan_speed_mm_s
 
     h, w = dense.shape
+    li = (l_lo + np.arange(n_lines) * hatch_mm)[:, None]  # one row per hatch line
+    odd = (np.arange(n_lines) % 2 == 1)[:, None]  # odd lines run backwards
     out_x: list[np.ndarray] = []
     out_y: list[np.ndarray] = []
     for m in range(n_stripes):
         band_lo = w_lo + m * advance
         band_hi = min(band_lo + params.stripe_width_mm, w_hi)
         ws = np.arange(band_lo, band_hi, step)
-        for i in range(n_lines):
-            li = l_lo + i * hatch_mm
-            wline = ws if i % 2 == 0 else ws[::-1]
-            gx = (wline * wdir[0] + li * ldir[0]) / pitch_mm + ox
-            gy = (wline * wdir[1] + li * ldir[1]) / pitch_mm + oy
-            ix, iy = _nearest(gx, ox), _nearest(gy, oy)
-            ok = (ix >= 0) & (ix < w) & (iy >= 0) & (iy < h)
-            keep = np.zeros(len(wline), dtype=bool)
-            keep[ok] = dense[iy[ok], ix[ok]]
-            if keep.any():
-                out_x.append(gx[keep])
-                out_y.append(gy[keep])
-    x_all = np.concatenate(out_x) if out_x else np.empty(0)
-    y_all = np.concatenate(out_y) if out_y else np.empty(0)
+        wline = np.where(odd, ws[::-1], ws)
+        gx = (wline * wdir[0] + li * ldir[0]) / pitch_mm + ox
+        gy = (wline * wdir[1] + li * ldir[1]) / pitch_mm + oy
+        ix, iy = _nearest(gx, ox), _nearest(gy, oy)
+        ok = (ix >= 0) & (ix < w) & (iy >= 0) & (iy < h)
+        keep = np.zeros(wline.shape, dtype=bool)
+        keep[ok] = dense[iy[ok], ix[ok]]
+        out_x.append(gx[keep])  # row-major: line by line, in scan order
+        out_y.append(gy[keep])
+    x_all, y_all = np.concatenate(out_x), np.concatenate(out_y)
     t_all = (np.arange(len(x_all)) + 1) * dt
     return ScanPath(
         x_px=x_all,
@@ -216,6 +214,9 @@ class GroundTruth:
 
 
 SPATTER_SIGMA_PX = 0.7
+# frames per pass of the render's whole-window steps: a block's float64
+# temporaries stay small, and one call per block replaces one per frame
+BLOCK_FRAMES = 16
 
 
 def _profiles(centres: np.ndarray, first: int, sigma: float):
@@ -230,9 +231,9 @@ def _banded(px, g, size: int):
     """(lo, G): G[s] holds profile g[s] at columns px[s] - lo, where lo.. are
     the pixels of 0..size-1 that the samples' squares cover."""
     r = px.shape[1] // 2
-    lo, hi = np.clip([px[:, 0].min(), px[:, -1].max() + 1], 0, size)
+    lo, hi = (min(max(int(v), 0), size) for v in (px[:, 0].min(), px[:, -1].max() + 1))
     G = np.zeros((len(px), hi - lo + 2 * r))  # r columns of slack each side take clipped pixels
-    G[np.arange(len(px))[:, None], np.clip(px - lo, -r, hi - lo) + r] = g
+    G[np.arange(len(px))[:, None], np.minimum(np.maximum(px - lo, -r), hi - lo) + r] = g
     return lo, G[:, r : r + hi - lo]
 
 
@@ -261,20 +262,30 @@ def _true_temperatures(path, thermal, events, amb, window, seen, n, fps, prescan
     # overlapping hatch lines stack heat, so normalize the excess history to
     # put the median scanned pixel's peak at peak_c (the hottest overlap
     # regions run hotter, as stripe boundaries do)
+    scale = 1.0
     if seen.any():
-        typical = float(np.median(truth[:, seen].max(axis=0)))
+        typical = float(np.median(truth.max(axis=0)[seen]))
         if typical > 0:
-            truth *= (thermal.peak_c - float(np.mean(amb))) / typical
-    truth += amb[rows, cols]
+            scale = (thermal.peak_c - float(np.mean(amb))) / typical
     r = int(math.ceil(4 * SPATTER_SIGMA_PX)) + 1
-    for ev in events:  # one at a time, in order, since their squares may overlap
+    bumps = []  # (first frame, window slices, amplitude per frame from it, square)
+    for ev in events:
         (x, y), e = ev.landing_px, ev.emit_frame
         x0, x1, y0, y1 = max(ox, x - r), min(ox + w, x + r + 1), max(oy, y - r), min(oy + h, y + r + 1)
         if x0 < x1 and y0 < y1:
             dx, dy = np.arange(x0, x1) - float(x), np.arange(y0, y1) - float(y)
             bump = np.exp(-0.5 * ((dx[None, :] ** 2 + dy[:, None] ** 2) / SPATTER_SIGMA_PX**2))
             amps = np.array([ev.peak_dt_c * math.exp(-((k - e) / fps) / ev.decay_s) for k in range(e, n)])
-            truth[e:, y0 - oy : y1 - oy, x0 - ox : x1 - ox] += amps[:, None, None] * bump
+            box = (slice(y0 - oy, y1 - oy), slice(x0 - ox, x1 - ox))
+            bumps.append((e, box, amps[:, None, None], bump))
+    for a in range(0, n, BLOCK_FRAMES):
+        b = min(a + BLOCK_FRAMES, n)
+        block = truth[a:b]
+        block *= scale
+        block += amb[rows, cols]
+        for e, box, amps, bump in bumps:  # in order, since their squares may overlap
+            if e < b:
+                block[max(e - a, 0) :, box[0], box[1]] += amps[max(a - e, 0) : b - e] * bump
     return truth
 
 
@@ -328,20 +339,36 @@ def render_frames(
     )
 
     scan_order = np.full(seen.shape, UNSCANNED, dtype=np.int64)
-    scan_order[seen] = np.argmax(truth[:, seen], axis=0)
+    scan_order[seen] = truth.argmax(axis=0)[seen]
 
-    counts = truth  # turned into counts in place, a frame at a time
-    for k in range(n):
+    blocks = [(a, min(a + BLOCK_FRAMES, n)) for a in range(0, n, BLOCK_FRAMES)]
+    counts = truth  # turned into counts in place, a block of frames at a time
+    for a, b in blocks:
+        k = np.arange(a, b)[:, None, None]
         eps = np.where(seen & (k > scan_order), profile.emissivity_printed, profile.emissivity_powder)
-        counts[k] = forward_counts(truth[k], eps, profile)
+        counts[a:b] = forward_counts(truth[a:b], eps, profile)
     sigma = noise_percent / 100.0 * (float(counts.max()) - float(counts.min()))
     rng = np.random.default_rng(seed)
     frames = np.empty(counts.shape, dtype="<u2")
-    for k in range(n):  # frame at a time to bound the noise buffer
-        noise = rng.normal(0.0, sigma, seen.shape) if noise_percent > 0 else 0.0
-        frames[k] = quantize_counts(counts[k] + noise)
+    for a, b in blocks:
+        noisy = counts[a:b]
+        if noise_percent > 0:  # m frames drawn at once are the m per-frame draws in turn
+            noisy = rng.normal(0.0, sigma, noisy.shape)
+            noisy += counts[a:b]
+        frames[a:b] = quantize_counts(noisy)
     stack = LayerStack(frames=frames, fps=fps, layer=layer, origin=origin)
-    return stack, GroundTruth(scan_order, eps, list(spatters.events), origin, dims, profile.emissivity_powder)
+    return stack, GroundTruth(scan_order, eps[-1].copy(), list(spatters.events), origin, dims, profile.emissivity_powder)
+
+
+def _first_visits(path: ScanPath, dims: tuple[int, int], fr: np.ndarray):
+    """Flat camera index of each visited pixel, ascending (row-major), and the
+    frame of its first visit, from each sample's frame `fr`."""
+    w, h = dims
+    ix, iy = path.pixels()
+    ix, iy = np.clip(ix, 0, w - 1), np.clip(iy, 0, h - 1)
+    # fr never decreases along the path, so a pixel's first sample is its earliest visit
+    pixels, first_sample = np.unique(iy * w + ix, return_index=True)
+    return pixels, fr[first_sample]
 
 
 def first_visit_frames(
@@ -350,12 +377,8 @@ def first_visit_frames(
     """Frame index of each pixel's first laser visit, -1 where never visited."""
     w, h = dims
     first = np.full((h, w), UNSCANNED, dtype=np.int64)
-    ix, iy = path.pixels()
-    ix, iy = np.clip(ix, 0, w - 1), np.clip(iy, 0, h - 1)
-    fr = prescan_frames + np.floor(path.t_s * fps).astype(np.int64)
-    # fr never decreases along the path, so a pixel's first sample is its earliest visit
-    pixels, first_sample = np.unique(iy * w + ix, return_index=True)
-    first.flat[pixels] = fr[first_sample]
+    pixels, frames = _first_visits(path, dims, prescan_frames + np.floor(path.t_s * fps).astype(np.int64))
+    first.flat[pixels] = frames
     return first
 
 
@@ -383,18 +406,19 @@ def make_spatter_schedule(
             f"layer {mask.layer}: the scan path is empty, so no spatter event can be placed"
         )
     w, h = mask.registration.dims
-    first = first_visit_frames(path, (w, h), fps, prescan_frames)
     fr = prescan_frames + np.floor(path.t_s * fps).astype(np.int64)
+    # the candidates are the visited pixels in row-major camera order
+    candidates, first = _first_visits(path, (w, h), fr)
     last_frame = int(fr.max()) if len(fr) else prescan_frames
     rng = np.random.default_rng(seed)
     chosen: list[SpatterEvent] = []
-    candidates = np.argwhere(first >= 0)
     attempts = 0
     while len(chosen) < count and attempts < 4000:
         attempts += 1
         emit = int(rng.integers(prescan_frames + 2, max(prescan_frames + 3, last_frame - min_lead_frames - 8)))
-        cy, cx = candidates[rng.integers(len(candidates))]
-        if first[cy, cx] < emit + min_lead_frames:
+        j = rng.integers(len(candidates))
+        cy, cx = divmod(int(candidates[j]), w)
+        if first[j] < emit + min_lead_frames:
             continue
         near = (fr >= emit - 1) & (fr <= emit + 4)
         if near.any():

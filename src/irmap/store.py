@@ -257,7 +257,8 @@ def parse_vtk(data: bytes):
 
 def quantize_counts(counts) -> np.ndarray:
     """Camera counts as the u16 a stack file holds: rounded, clipped to [0, 65535]."""
-    return np.clip(np.round(counts), 0, 65535).astype("<u2")
+    q = np.round(counts)
+    return np.clip(q, 0, 65535, out=q if q.ndim else None).astype("<u2")
 
 
 def write_layer_stack(path, frames, fps: float = 30.0) -> None:

@@ -7,7 +7,11 @@ spatter detector that gates every cluster on its own after filtering the
 whole frame. The calibration fits invert one sample at a time, and the
 pre-deposition and cooling extractors one target frame at a time. The
 heat-intensity fold, the interpass mean and the maximum pre-deposition walk
-the stack one frame at a time.
+the stack one frame at a time. The simulator's scan path is built one hatch
+line at a time, its counts and noise one frame at a time, and its spatter
+candidates from a whole camera frame; the radiance model and the count
+conversion are one expression each, and the disk dilation ORs in every offset
+of the footprint.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from irmap.errors import (
     NoPrescanError,
     ParameterError,
 )
-from irmap import imageops
+from irmap import imageops, simulator
 from irmap.features import (
     INTERPASS_FRAME_CAP,
     SPATTER_BLOB_SIGMA,
@@ -33,6 +37,7 @@ from irmap.features import (
     FeatureId,
     FeatureMap,
     FeatureParams,
+    LayerStack,
     SpatterRecord,
     _grown_box,
     _scan_frames,
@@ -46,12 +51,21 @@ from irmap.imageops import (
     gaussian_kernel_1d,
 )
 from irmap.radiometry import (
+    C2_UM_K,
+    KELVIN_OFFSET,
     _check_samples,
     _golden_min,
     _validate_eps,
-    background_counts,
 )
-from irmap.simulator import SPATTER_SIGMA_PX
+from irmap.simulator import (
+    SPATTER_SIGMA_PX,
+    GroundTruth,
+    ScanPath,
+    SpatterEvent,
+    SpatterSchedule,
+    _nearest,
+    _true_temperatures,
+)
 
 _OFFSETS_4 = ((-1, 0), (0, -1))
 _OFFSETS_8 = ((-1, 0), (0, -1), (-1, -1), (-1, 1))
@@ -304,12 +318,12 @@ def spatter_frame_filter(frame_counts, floor_sigmas: float = 6.0):
         (g_thr,) = imageops.otsu_thresholds(grad, 2)
     except DegenerateHistogramError:
         return np.zeros(frame.shape, dtype=bool), empty
-    scan_mask = imageops.dilate_disk(grad > g_thr, SPATTER_DILATION_PX)
+    scan_mask = dilate_disk(grad > g_thr, SPATTER_DILATION_PX)
 
     neg_log = -imageops.gaussian_laplace(frame, SPATTER_BLOB_SIGMA)
     mad = float(np.median(np.abs(neg_log - np.median(neg_log))))
     noise_floor = floor_sigmas * mad / 0.6745
-    exclude = imageops.dilate_disk(scan_mask, 1)
+    exclude = dilate_disk(scan_mask, 1)
     pos = np.where((neg_log > 0) & ~exclude, neg_log, 0.0)
     try:
         (b_thr,) = imageops.otsu_thresholds(pos, 2)
@@ -327,7 +341,7 @@ def spatter_frame_filter(frame_counts, floor_sigmas: float = 6.0):
     for lbl in range(1, raw.count + 1):
         box = _grown_box(raw.labels == lbl, 3)
         px = raw.labels[box] == lbl
-        ring = imageops.dilate_disk(px, 3) & ~imageops.dilate_disk(px, 1)
+        ring = dilate_disk(px, 3) & ~dilate_disk(px, 1)
         if ring.any() and float(frame[box][ring].mean()) > baseline + 2.0 * sigma_est:
             continue
         kept += 1
@@ -357,7 +371,7 @@ def spatter_layer(stack, scan_order, profile, params=None, stats=None):
             px = clusters.labels == lbl
             if registry[px].any():
                 continue
-            near_s = s[imageops.dilate_disk(px, 2)]
+            near_s = s[dilate_disk(px, 2)]
             if ((near_s >= 0) & (np.abs(near_s - t) <= 3)).any():
                 if stats is not None:
                     stats["near_laser"] = stats.get("near_laser", 0) + 1
@@ -525,3 +539,177 @@ def max_predeposition(stack, scan_order, profile, offset: int = 10):
         running = np.maximum(running, values)
         grid[valid & (target == t)] = running[part_target == t]
     return FeatureMap(FeatureId.MAX_PREDEPOSITION, stack.layer, grid, valid)
+
+
+def dilate_disk(binary, radius: int) -> np.ndarray:
+    """`imageops.dilate_disk`, ORing in one shifted copy per footprint offset
+    (di, dj) with di^2 + dj^2 <= r^2; pixels beyond the border are unset."""
+    b = np.asarray(binary, dtype=bool)
+    if radius <= 0:
+        return b.copy()
+    h, w = b.shape
+    padded = np.pad(b, radius)
+    out = np.zeros_like(b)
+    for di in range(-radius, radius + 1):
+        for dj in range(-radius, radius + 1):
+            if di * di + dj * dj <= radius * radius:
+                out |= padded[radius - di : radius - di + h, radius - dj : radius - dj + w]
+    return out
+
+
+def signal(model, t_c):
+    """`RadianceModel.signal` as one expression."""
+    t_k = np.asarray(t_c, dtype=np.float64) + KELVIN_OFFSET
+    if np.any(t_k <= 0):
+        raise ParameterError("temperature at or below absolute zero")
+    return model.c_counts / np.expm1(C2_UM_K / (model.a_um * t_k + model.b_um_k))
+
+
+def temperature(model, s_obj):
+    """`RadianceModel.temperature` as one expression."""
+    s = np.asarray(s_obj, dtype=np.float64)
+    if np.any(s <= 0):
+        raise ParameterError("signal must be positive to invert")
+    return (C2_UM_K / np.log1p(model.c_counts / s) - model.b_um_k) / model.a_um - KELVIN_OFFSET
+
+
+def background_counts(eps, profile):
+    """`radiometry.background_counts`, the reflected signal recomputed per call."""
+    tau = profile.window_transmission
+    s_refl = signal(profile.model, profile.reflected_temperature_c)
+    e = np.asarray(eps, dtype=np.float64)
+    return tau * (1.0 - e) * s_refl + (1.0 - tau) * s_refl
+
+
+def forward_counts(t_obj_c, eps, profile):
+    """`radiometry.forward_counts` as one expression."""
+    _validate_eps(eps)
+    e = np.asarray(eps, dtype=np.float64)
+    out = profile.window_transmission * e * signal(profile.model, t_obj_c) + background_counts(eps, profile)
+    if np.isscalar(t_obj_c) and np.isscalar(eps):
+        return float(out)
+    return out
+
+
+def invert_counts_array(counts, eps, profile):
+    """`radiometry.invert_counts_array` with the emissivity broadcast to the
+    counts before the floor is taken."""
+    _validate_eps(eps)
+    c = np.asarray(counts, dtype=np.float64)
+    e = np.broadcast_to(np.asarray(eps, dtype=np.float64), c.shape)
+    floor = background_counts(e, profile)
+    valid = c > floor
+    s_obj = np.where(valid, (c - floor) / (profile.window_transmission * e), 1.0)
+    return np.where(valid, temperature(profile.model, s_obj), np.nan), valid
+
+
+def generate_scan_path(mask, params, layer: int, samples_per_pixel: float = 2.0) -> ScanPath:
+    """`simulator.generate_scan_path`, one hatch line at a time."""
+    pitch_mm = mask.registration.pitch_um / 1000.0
+    theta = math.radians((layer * params.rotation_per_layer_deg) % 180.0)
+    wdir = np.array([math.cos(theta), math.sin(theta)])
+    ldir = np.array([-math.sin(theta), math.cos(theta)])
+    ox, oy = mask.registration.origin_px
+    dense = mask.pixel_mask()
+    step = pitch_mm / samples_per_pixel
+    if not dense.any():
+        return ScanPath(np.empty(0), np.empty(0), np.empty(0), step, math.degrees(theta), (ox, oy))
+    ys, xs = np.nonzero(dense)
+    px_mm = (xs - ox) * pitch_mm
+    py_mm = (ys - oy) * pitch_mm
+    wc = px_mm * wdir[0] + py_mm * wdir[1]
+    lc = px_mm * ldir[0] + py_mm * ldir[1]
+    w_lo, w_hi = float(wc.min()) - pitch_mm, float(wc.max()) + pitch_mm
+    l_lo, l_hi = float(lc.min()) - pitch_mm, float(lc.max()) + pitch_mm
+    advance = params.stripe_width_mm - params.stripe_overlap_mm
+    n_stripes = max(1, math.ceil((w_hi - w_lo) / params.stripe_width_mm))
+    hatch_mm = params.hatch_um / 1000.0
+    n_lines = int((l_hi - l_lo) / hatch_mm) + 1
+    h, w = dense.shape
+    out_x, out_y = [], []
+    for m in range(n_stripes):
+        band_lo = w_lo + m * advance
+        band_hi = min(band_lo + params.stripe_width_mm, w_hi)
+        ws = np.arange(band_lo, band_hi, step)
+        for i in range(n_lines):
+            li = l_lo + i * hatch_mm
+            wline = ws if i % 2 == 0 else ws[::-1]
+            gx = (wline * wdir[0] + li * ldir[0]) / pitch_mm + ox
+            gy = (wline * wdir[1] + li * ldir[1]) / pitch_mm + oy
+            ix, iy = _nearest(gx, ox), _nearest(gy, oy)
+            ok = (ix >= 0) & (ix < w) & (iy >= 0) & (iy < h)
+            keep = np.zeros(len(wline), dtype=bool)
+            keep[ok] = dense[iy[ok], ix[ok]]
+            if keep.any():
+                out_x.append(gx[keep])
+                out_y.append(gy[keep])
+    x_all = np.concatenate(out_x) if out_x else np.empty(0)
+    y_all = np.concatenate(out_y) if out_y else np.empty(0)
+    t_all = (np.arange(len(x_all)) + 1) * (step / params.scan_speed_mm_s)
+    return ScanPath(x_all, y_all, t_all, step, math.degrees(theta), (ox, oy))
+
+
+def render_frames(
+    path, dims, thermal, profile, spatters=None, window=None, noise_percent=0.0,
+    fps=30.0, prescan_frames=3, tail_frames=35, seed=0, layer=0,
+):
+    """`simulator.render_frames` converting, and adding noise to, one frame at
+    a time, with the one-expression `forward_counts`."""
+    w, h = dims
+    spatters = spatters or SpatterSchedule()
+    rows, cols = window or (slice(0, h), slice(0, w))
+    origin = (rows.start, cols.start)
+    amb = np.broadcast_to(np.asarray(thermal.ambient_c, dtype=np.float64), (h, w)).copy()
+    n_scan = math.ceil(path.duration_s * fps - 1e-12) if len(path) else 0
+    n = prescan_frames + n_scan + tail_frames
+    seen = np.zeros(amb[rows, cols].shape, dtype=bool)
+    ix, iy = path.pixels()
+    seen[np.clip(iy, 0, h - 1) - origin[0], np.clip(ix, 0, w - 1) - origin[1]] = True
+    truth = _true_temperatures(path, thermal, spatters.events, amb, (rows, cols), seen, n, fps, prescan_frames)
+    scan_order = np.full(seen.shape, UNSCANNED, dtype=np.int64)
+    scan_order[seen] = np.argmax(truth[:, seen], axis=0)
+    counts = truth
+    for k in range(n):
+        eps = np.where(seen & (k > scan_order), profile.emissivity_printed, profile.emissivity_powder)
+        counts[k] = forward_counts(truth[k], eps, profile)
+    sigma = noise_percent / 100.0 * (float(counts.max()) - float(counts.min()))
+    rng = np.random.default_rng(seed)
+    frames = np.empty(counts.shape, dtype="<u2")
+    for k in range(n):
+        noise = rng.normal(0.0, sigma, seen.shape) if noise_percent > 0 else 0.0
+        frames[k] = np.clip(np.round(counts[k] + noise), 0, 65535).astype("<u2")
+    stack = LayerStack(frames=frames, fps=fps, layer=layer, origin=origin)
+    return stack, GroundTruth(scan_order, eps, list(spatters.events), origin, dims, profile.emissivity_powder)
+
+
+def make_spatter_schedule(
+    path, mask, count, peak_dt_c=250.0, decay_s=0.15, fps=30.0, prescan_frames=3, seed=0,
+    min_lead_frames=20, clearance_px=9.0, min_separation_px=6.0,
+) -> SpatterSchedule:
+    """`simulator.make_spatter_schedule` drawing its candidates from the
+    whole camera frame of first visits."""
+    if count > 0 and not len(path):
+        raise ParameterError(f"layer {mask.layer}: the scan path is empty, so no spatter event can be placed")
+    w, h = mask.registration.dims
+    first = simulator.first_visit_frames(path, (w, h), fps, prescan_frames)
+    fr = prescan_frames + np.floor(path.t_s * fps).astype(np.int64)
+    last_frame = int(fr.max()) if len(fr) else prescan_frames
+    rng = np.random.default_rng(seed)
+    chosen = []
+    candidates = np.argwhere(first >= 0)
+    attempts = 0
+    while len(chosen) < count and attempts < 4000:
+        attempts += 1
+        emit = int(rng.integers(prescan_frames + 2, max(prescan_frames + 3, last_frame - min_lead_frames - 8)))
+        cy, cx = candidates[rng.integers(len(candidates))]
+        if first[cy, cx] < emit + min_lead_frames:
+            continue
+        near = (fr >= emit - 1) & (fr <= emit + 4)
+        if near.any() and float(np.hypot(path.x_px[near] - cx, path.y_px[near] - cy).min()) < clearance_px:
+            continue
+        if any(math.hypot(ev.landing_px[0] - cx, ev.landing_px[1] - cy) < min_separation_px for ev in chosen):
+            continue
+        chosen.append(SpatterEvent(emit, (int(cx), int(cy)), peak_dt_c, decay_s))
+    if len(chosen) < count:
+        raise ParameterError(f"could only place {len(chosen)} of {count} spatter events")
+    return SpatterSchedule(events=chosen)

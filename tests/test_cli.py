@@ -1,3 +1,4 @@
+import re
 import struct
 from dataclasses import fields
 
@@ -359,6 +360,20 @@ class TestPipeline:
         )
         assert main(["extract", "--config", str(cfg2)]) == 0
         assert (mini_build / "mini2.irvx").exists()
+        assert "; cli._load_layer: " in (mini_build / "mini2.irvx.timings.txt").read_text()
+
+    def test_timings_name_each_stage(self, mini_build):
+        assert main(["extract", "--config", str(mini_build / "mini.ini")]) == 0
+        lines = (mini_build / "mini.irvx.timings.txt").read_text().splitlines()
+        assert len(lines) == 2
+        for layer, line in enumerate(lines):
+            m = re.fullmatch(
+                rf"layer {layer}: (\S+) s; cli._simulate_layer: (\S+) s; features.extract_layer: (\S+) s",
+                line,
+            )
+            assert m, line
+            total, source, extract = (float(v) for v in m.groups())
+            assert source > 0 and extract > 0 and source + extract <= total + 0.0015  # 3 rounded decimals
 
     def test_determinism(self, mini_build):
         cfg = str(mini_build / "mini.ini")

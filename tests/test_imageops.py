@@ -282,3 +282,22 @@ class TestDilateDisk:
         assert np.array_equal(out, b)
         out[0, 1] = True
         assert not b[0, 1]
+
+    @pytest.mark.parametrize("radius", range(5))
+    def test_matches_offset_loop(self, radius):
+        """Row spans then vertical shifts OR in the same pixels as one shifted
+        copy per disk offset, up to the grid's border."""
+        rng = np.random.default_rng(radius)
+        grids = [np.zeros((9, 11), dtype=bool), np.ones((9, 11), dtype=bool)]
+        for shape in ((1, 13), (13, 1), (1, 1), (2, 3), (30, 40)):
+            for density in (0.02, 0.2, 0.6):
+                grids.append(rng.random(shape) < density)
+        for y, x in ((0, 0), (0, 5), (8, 10), (4, 0), (8, 3)):  # border pixels
+            g = np.zeros((9, 11), dtype=bool)
+            g[y, x] = True
+            grids.append(g)
+        grids.append(np.arange(12 * 12).reshape(12, 12) % 7 == 0)
+        for g in grids:
+            got = dilate_disk(g, radius)
+            assert got.dtype == bool and np.array_equal(got, oracles.dilate_disk(g, radius)), g.shape
+            assert not np.shares_memory(got, g)

@@ -111,6 +111,78 @@ class TestInvert:
             assert str(got.value) == f"counts {c:.3f} at or below background floor {floor:.3f}"
 
 
+def _same(got, want):
+    """Equal type, shape and bytes (a scalar stays a scalar)."""
+    assert type(got) is type(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    assert np.shape(got) == np.shape(want)
+
+
+PROFILES = [
+    CalibrationProfile(),
+    CalibrationProfile(window_transmission=1.0, reflected_temperature_c=-40.0),
+    CalibrationProfile(0.9, 0.05, 0.7, 120.0, RadianceModel(a_um=4.2, b_um_k=35.0, c_counts=9000.0)),
+]
+
+
+class TestOneExpressionOracles:
+    """The in-place radiance model and count conversion, and the cached
+    reflected signal, give the one-expression results byte for byte."""
+
+    @pytest.mark.parametrize("prof", PROFILES)
+    def test_arrays_and_scalars(self, prof, rng):
+        t32 = rng.uniform(-200.0, 2500.0, (16, 9, 7)).astype(np.float32)
+        t64 = rng.uniform(-200.0, 2500.0, (5, 7))
+        two = np.where(rng.random(t32.shape) < 0.5, prof.emissivity_printed, prof.emissivity_powder)
+        eps_any = rng.uniform(1e-3, 1.0, (5, 7))
+        cases = [
+            (t32, two),  # a render block
+            (t32, 0.63),
+            (t64, eps_any),
+            (t64[0], eps_any),  # the temperatures broadcast up
+            (450.0, eps_any),
+            (450.0, 0.21),
+            (np.float32(97.5), np.float64(1.0)),
+            ([25.0, 300.0], 0.63),
+            (np.array(1200.0), 0.63),
+        ]
+        for t, eps in cases:
+            _same(prof.model.signal(t), oracles.signal(prof.model, t))
+            _same(radiometry.background_counts(eps, prof), oracles.background_counts(eps, prof))
+            counts = forward_counts(t, eps, prof)
+            _same(counts, oracles.forward_counts(t, eps, prof))
+            s_obj = oracles.signal(prof.model, t)
+            _same(prof.model.temperature(s_obj), oracles.temperature(prof.model, s_obj))
+            noisy = counts + rng.normal(0.0, 50.0, np.shape(counts))  # some below the floor
+            for c in (counts, noisy):
+                (got, ok), (want, ok_want) = invert_counts_array(c, eps, prof), oracles.invert_counts_array(c, eps, prof)
+                _same(got, want)
+                _same(ok, ok_want)
+
+    def test_errors(self, profile):
+        for eps in (0.0, -0.5, 1.5, np.nan, np.array([0.5, np.nan]), np.zeros((2, 2))):
+            for f in (forward_counts, invert_counts_array):
+                with pytest.raises(ParameterError, match="emissivity"):
+                    f(300.0, eps, profile)
+        with pytest.raises(ParameterError, match="absolute zero"):
+            profile.model.signal(np.array([20.0, -273.15]))
+        with pytest.raises(ParameterError, match="absolute zero"):
+            profile.model.signal(-300.0)
+        with pytest.raises(ParameterError, match="positive"):
+            profile.model.temperature(np.array([1.0, 0.0]))
+
+    def test_reflected_signal_is_computed_once_per_profile(self, monkeypatch):
+        radiometry._reflected_signal.cache_clear()
+        prof = CalibrationProfile(reflected_temperature_c=31.0)
+        calls = []
+        real = RadianceModel.signal
+        monkeypatch.setattr(RadianceModel, "signal", lambda self, t: calls.append(t) or real(self, t))
+        for _ in range(3):
+            forward_counts(500.0, 0.63, prof)
+            background_counts(0.21, replace(prof, emissivity_powder=0.5))
+        assert calls.count(31.0) == 1
+
+
 class TestFits:
     def make_samples(self, eps, profile, temps=None):
         temps = temps if temps is not None else np.linspace(25.0, 500.0, 9)

@@ -261,3 +261,111 @@ class TestRenderOracle:
         assert len(np.unique(iy * 64 + ix)) < len(path)  # pixels are revisited
         want = oracles.first_visit_frames(path, (64, 48))
         assert first_visit_frames(path, (64, 48)).tobytes() == want.tobytes()
+
+
+@pytest.fixture(scope="module")
+def demo(tmp_path_factory):
+    """The demo build's config and voxel grid."""
+    from irmap import cli
+
+    cfg = cli.load_config(cli.write_demo(str(tmp_path_factory.mktemp("demo"))))
+    return cfg, cli._voxelize_config(cfg)
+
+
+def _scan_cases(demo):
+    """name -> (mask, layer): the 20 demo layers, then one mask for each way a
+    part meets the stripes, the registration origin or the frame edge."""
+    cfg, vox = demo
+    cases = {f"demo layer {k}": (layer_mask(vox, k, cfg.registration()), k) for k in range(20)}
+    top = vox.dims[2] - 1  # the grid's top layer holds no part
+    cases["empty mask"] = (layer_mask(vox, top, cfg.registration()), top)
+    for layer in (0, 1, 5):
+        for kind, origin in (("odd", (33.0, 25.0)), ("fractional", (32.5, 23.25))):
+            cases[f"{kind} origin, layer {layer}"] = (small_mask(7.2, layer, origin), layer)
+    cases["narrower than a stripe"] = (small_mask(size_mm=3.6), 0)
+    wide = voxelize(box_mesh((36.0, 7.2, 0.4)), (360.0, 360.0, 40.0))
+    cases["wider than three stripes"] = (layer_mask(wide, 0, PixelGridFrame(360.0, (64.0, 24.0), (128, 48))), 0)
+    cases["touching the frame edge"] = (small_mask(7.2, 1, (9.0, 9.0)), 1)
+    return cases
+
+
+class TestScanPathOracle:
+    """The array scan path matches the one-line-at-a-time loop byte for byte."""
+
+    def test_matches_line_loop(self, demo):
+        stripes = {}
+        for name, (mask, layer) in _scan_cases(demo).items():
+            params = ScanParameters()
+            path, want = generate_scan_path(mask, params, layer), oracles.generate_scan_path(mask, params, layer)
+            for got, exp in ((path.x_px, want.x_px), (path.y_px, want.y_px), (path.t_s, want.t_s)):
+                assert got.dtype == exp.dtype and got.tobytes() == exp.tobytes(), name
+            assert (path.step_mm, path.orientation_deg, path.origin_px) == (
+                want.step_mm, want.orientation_deg, want.origin_px
+            ), name
+            stripes[name] = np.ptp(path.x_px) * mask.registration.pitch_um / 1000 if len(path) else 0.0
+        # layer 0 hatches along x, so its stripes split the part's x extent
+        assert stripes["narrower than a stripe"] < 10.0 < 30.0 < stripes["wider than three stripes"]
+        assert stripes["empty mask"] == 0.0
+        edge, _ = _scan_cases(demo)["touching the frame edge"]
+        assert edge.pixel_mask()[0].any() and edge.pixel_mask()[:, 0].any()
+
+
+class TestFrameBlocks:
+    """Counts and noise converted a block of frames at a time match the
+    one-frame-at-a-time loop, whatever the block size."""
+
+    @pytest.mark.parametrize("noise_percent", [0.0, 1.0])
+    @pytest.mark.parametrize("case", list(_oracle_cases()))
+    def test_matches_frame_loop(self, profile, monkeypatch, case, noise_percent):
+        path, kw = _oracle_cases()[case]
+        args = (path, (64, 48), ThermalParams(), profile)
+        kw = dict(kw, noise_percent=noise_percent, seed=3)
+        want, want_gt = oracles.render_frames(*args, **kw)
+        n = len(want)
+        divisor = next(d for d in range(2, n + 1) if n % d == 0)
+        other = next(d for d in range(2, n) if n % d)
+        for block in sorted({1, divisor, other, simulator.BLOCK_FRAMES, n + 5}):
+            monkeypatch.setattr(simulator, "BLOCK_FRAMES", block)
+            stack, gt = render_frames(*args, **kw)
+            assert stack.frames.tobytes() == want.frames.tobytes(), block
+            assert (stack.origin, stack.fps, stack.layer) == (want.origin, want.fps, want.layer)
+            assert gt.scan_order.tobytes() == want_gt.scan_order.tobytes()
+            assert gt.emissivity.tobytes() == want_gt.emissivity.tobytes()
+            assert gt.spatter_events == want_gt.spatter_events
+
+
+class TestSpatterScheduleOracle:
+    """Candidates taken from the visited pixels pick the same events as the
+    camera-frame candidate list."""
+
+    def test_demo_layers(self, demo):
+        cfg, vox = demo
+        for layer in range(20):
+            mask = layer_mask(vox, layer, cfg.registration())
+            path = generate_scan_path(mask, cfg.scan_params(), layer)
+            kw = dict(
+                peak_dt_c=cfg.spatter_peak_dt_c,
+                decay_s=cfg.spatter_decay_s,
+                seed=cfg.seed + 7919 * layer,
+            )
+            assert make_spatter_schedule(path, mask, 10, **kw) == oracles.make_spatter_schedule(
+                path, mask, 10, **kw
+            ), layer
+
+    def test_small_masks(self, demo):
+        placed = 0
+        for name, (mask, layer) in _scan_cases(demo).items():
+            if name.startswith("demo") or not len(mask):
+                continue
+            path = generate_scan_path(mask, ScanParameters(), layer)
+            for seed in range(4):
+                kw = dict(seed=seed, min_lead_frames=5, clearance_px=4.0)
+                try:
+                    want = oracles.make_spatter_schedule(path, mask, 3, **kw)
+                except ParameterError as exc:
+                    with pytest.raises(ParameterError, match=str(exc)):
+                        make_spatter_schedule(path, mask, 3, **kw)
+                else:
+                    assert make_spatter_schedule(path, mask, 3, **kw) == want, name
+                    placed += 1
+        assert placed >= 30  # of 40

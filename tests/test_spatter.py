@@ -9,10 +9,13 @@ import oracles
 from irmap import cli, imageops
 from irmap.errors import DegenerateHistogramError
 from irmap.features import (
+    NEAR_LASER_FRAMES,
+    NEAR_LASER_PX,
     WINDOW_PAD,
     FeatureId,
     FeatureMap,
     LayerStack,
+    _scan_frames,
     activity_threshold,
     heat_intensity_and_scan_order,
     near_laser_mask,
@@ -108,6 +111,37 @@ class TestRenderedWindows:
         stack, _, _ = cli._simulate_layer(cfg, cli._voxelize_config(cfg), layer)
         _, order = heat_intensity_and_scan_order(stack, cfg.profile)
         assert assert_same_spatter(stack, order, cfg.profile)
+
+
+class TestNearLaserMask:
+    """The near-laser gate is the offset-loop disk dilation of the pixels
+    scanned within NEAR_LASER_FRAMES of the frame, on whole windows."""
+
+    def windows(self, profile, tmp_path):
+        vox = voxelize(box_mesh((10.8, 10.8, 0.4)), (360.0, 360.0, 40.0))
+        mask = layer_mask(vox, 0, PixelGridFrame(pitch_um=360.0, origin_px=(48.0, 32.0), dims=(96, 64)))
+        stack, _ = render_frames(
+            generate_scan_path(mask, ScanParameters(), 0), (96, 64), ThermalParams(), profile,
+            window=mask.window(WINDOW_PAD), noise_percent=1.0,
+        )
+        yield _scan_frames(heat_intensity_and_scan_order(stack, profile)[1]), len(stack)
+        cfg = cli.load_config(cli.write_demo(str(tmp_path)))
+        for layer in (3, 18):
+            stack, _, _ = cli._simulate_layer(cfg, cli._voxelize_config(cfg), layer)
+            yield _scan_frames(heat_intensity_and_scan_order(stack, cfg.profile)[1]), len(stack)
+        s = np.full((40, 40), -1)
+        s[33, 33], s[10, 13], s[2, 22], s[28, 0], s[20, 23], s[0, 39] = 3, 0, 6, 6, 7, 2
+        yield s, 10  # the edge-case window: single pixels, two on its border
+
+    def test_matches_offset_loop_dilation(self, profile, tmp_path):
+        checked = 0
+        for s, n in self.windows(profile, tmp_path):
+            for t in range(n):
+                now = (s >= 0) & (np.abs(s - t) <= NEAR_LASER_FRAMES)
+                got = near_laser_mask(s, t)
+                assert np.array_equal(got, oracles.dilate_disk(now, NEAR_LASER_PX)), t
+                checked += bool(now.any())
+        assert checked > 100
 
 
 class TestEdgeCases:
