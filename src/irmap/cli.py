@@ -22,7 +22,7 @@ import numpy as np
 from . import features as feat
 from . import geometry, radiometry, simulator, spatial, store
 from .errors import ConfigError, DataError, DegeneracyError, HorizonError, NoPrescanError
-from .errors import BelowFloorError, IllConditionedError, IrmapError, StoreFormatError
+from .errors import BelowFloorError, IllConditionedError, IrmapError, ParameterError, StoreFormatError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -58,6 +58,8 @@ def _parse_features(text: str) -> dict:
 
 def _parse_pitch(text: str) -> dict:
     x, y, z = (float(p) for p in text.split(","))
+    if not all(0 < p < np.inf for p in (x, y, z)):
+        raise ValueError("each pitch must be a positive number")
     return {"pitch_x_um": x, "pitch_y_um": y, "pitch_z_um": z}
 
 
@@ -89,7 +91,6 @@ class RunConfig:
     stripe_width_mm: float = _ini(10.0, "scan")
     stripe_overlap_mm: float = _ini(0.08, "scan")
     rotation_per_layer_deg: float = _ini(66.7, "scan")
-    layer_thickness_um: float = _ini(40.0, "scan")
 
     ambient_c: float = _ini(80.0, "thermal")
     peak_c: float = _ini(1200.0, "thermal")
@@ -182,16 +183,24 @@ def load_config(path: str, args=None) -> RunConfig:
     cfg = RunConfig()
     cfg.config_dir = os.path.dirname(os.path.abspath(path))
     cfg.config_sha256 = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    for section in parser.sections():
-        if section not in _SCHEMA:
-            raise ConfigError(f"unknown config section [{section}]")
-        for key, raw in parser[section].items():
-            _set(cfg, section, key, raw)
-    for key in _SCHEMA["run"]:  # a flag named like a [run] key overrides it
-        flag = getattr(args, key, None)
-        if flag is not None:
-            _set(cfg, "run", key, flag)
+    try:
+        for section in parser.sections():
+            if section not in _SCHEMA:
+                raise ConfigError(f"unknown config section [{section}]")
+            for key, raw in parser[section].items():
+                _set(cfg, section, key, raw)
+        for key in _SCHEMA["run"]:  # a flag named like a [run] key overrides it
+            flag = getattr(args, key, None)
+            if flag is not None:
+                _set(cfg, "run", key, flag)
+        _validate(cfg)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    return cfg
 
+
+def _validate(cfg: RunConfig) -> None:
+    """Raise ConfigError unless every parameter object a run builds accepts cfg."""
     stl = cfg._resolve(cfg.stl)
     if not os.path.exists(stl):
         raise ConfigError(f"STL file not found: {stl}")
@@ -199,8 +208,13 @@ def load_config(path: str, args=None) -> RunConfig:
         raise ConfigError("jobs must be at least 1")
     if not (0.0 <= cfg.noise_percent <= 100.0):
         raise ConfigError("noise_percent must be in [0, 100]")
+    if not 0.0 < cfg.fps < np.inf:
+        raise ConfigError("fps must be a positive number")
+    try:
+        cfg.registration(), cfg.scan_params(), cfg.params(simulator.ThermalParams)
+    except ParameterError as exc:
+        raise ConfigError(str(exc)) from exc
     cfg.profile  # read once per run; a bad profile file is a config error
-    return cfg
 
 
 @dataclass
@@ -268,10 +282,10 @@ def _load_layer(cfg: RunConfig, vox: geometry.VoxelMesh, layer: int):
     reg = cfg.registration()
     mask = geometry.layer_mask(vox, layer, reg)
     path = _stack_path(cfg, layer)
-    if not os.path.exists(path):
-        raise ConfigError(f"frame stack not found: {path}")
     try:
         frames, fps = store.read_layer_stack(path)
+    except OSError as exc:
+        raise ConfigError(f"layer {layer}: cannot read frame stack {path}: {exc.strerror}") from exc
     except StoreFormatError as exc:
         raise StoreFormatError(f"layer {layer}: {path}: {exc}") from exc
     if frames.shape[1:] != (cfg.cam_height, cfg.cam_width):
@@ -442,7 +456,6 @@ hatch_um = 110
 stripe_width_mm = 10
 stripe_overlap_mm = 0.08
 rotation_per_layer_deg = 66.7
-layer_thickness_um = 40
 
 [thermal]
 ambient_c = 80
@@ -600,9 +613,18 @@ def _cmd_extract(args) -> int:
     return EXIT_OK
 
 
+def _read_store(path: str) -> store.FeatureStore:
+    """The feature store in file `path`; a malformed store's error names the file."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return store.read_store(data)
+    except StoreFormatError as exc:
+        raise StoreFormatError(f"{path}: {exc}") from exc
+
+
 def _cmd_export(args) -> int:
-    with open(args.store, "rb") as fh:
-        fstore = store.read_store(fh.read())
+    fstore = _read_store(args.store)
     key = args.feature.strip().upper()
     if key not in feat.FeatureId.__members__:
         raise ConfigError(f"unknown feature {args.feature!r}")
@@ -614,9 +636,7 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    with open(args.store, "rb") as fh:
-        data = fh.read()
-    fstore = store.read_store(data)
+    fstore = _read_store(args.store)
     nx, ny, nz = fstore.meta.dims
     print(f"grid: {nx} x {ny} x {nz} at {fstore.meta.pitch_um} um")
     print(f"blocks: {len(fstore.blocks)}")
@@ -705,8 +725,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except FileNotFoundError as exc:
-        print(f"missing file: {exc}", file=sys.stderr)
+    except OSError as exc:  # its message names the file
+        print(f"file error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)

@@ -66,7 +66,7 @@ class StoreFormatError(DataError):
 
 
 class StoreCorruptionError(StoreFormatError):
-    """Feature store ended mid-block."""
+    """Feature store ended mid-block or breaks a rule of its layout."""
 
     def __init__(self, message, offset, layer=None, feature_id=None):
         super().__init__(message)

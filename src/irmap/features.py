@@ -326,12 +326,12 @@ def spatter_layer(
     spatter that stays hot across consecutive frames: the filter drops a
     cluster on a registered pixel as it drops one near the laser. Only the
     registry from before the frame matters, because one frame's clusters
-    are disjoint.
+    are disjoint, so no pixel is counted twice and the landing map is the
+    registry itself, 0 or 1 per pixel.
     """
     params = params or FeatureParams()
     s = _scan_frames(scan_order)
     generation = np.zeros(stack.shape)
-    landing = np.zeros(stack.shape)
     registry = np.zeros(stack.shape, dtype=bool)
     records: list[SpatterRecord] = []
     # a frame with no laser in view has nothing emitting spatter
@@ -342,7 +342,6 @@ def spatter_layer(
         )
         for lbl in range(1, clusters.count + 1):
             px = clusters.labels == lbl
-            landing[px] += 1.0
             registry[px] = True
             coords = np.argwhere(px) + np.array(stack.origin)
             records.append(
@@ -365,7 +364,7 @@ def spatter_layer(
     land_map = FeatureMap(
         feature_id=FeatureId.SPATTER_LANDING,
         layer=stack.layer,
-        grid=landing,
+        grid=registry.astype(np.float64),
         validity=np.ones(stack.shape, dtype=bool),
     )
     return gen_map, land_map, records

@@ -174,7 +174,6 @@ class VoxelMesh:
     """Part geometry on a regular grid; layer index = z slice index."""
 
     occupancy: np.ndarray  # bool (nx, ny, nz)
-    part_ids: np.ndarray  # uint16 (nx, ny, nz), 0 = empty
     pitch_um: tuple[float, float, float]
     origin_mm: tuple[float, float, float]
     exact: bool = True
@@ -195,7 +194,6 @@ def voxelize(
     pitch_um=DEFAULT_PITCH_UM,
     origin_mm=None,
     dims=None,
-    part_id: int = 1,
 ) -> VoxelMesh:
     """Voxelize a mesh: a voxel is occupied iff its center is inside.
 
@@ -225,10 +223,8 @@ def voxelize(
         )
 
     occ = _parity_occupancy(mesh.vertices, origin, pitch_mm, (nx, ny, nz))
-    part = np.where(occ, np.uint16(part_id), np.uint16(0))
     return VoxelMesh(
         occupancy=occ,
-        part_ids=part,
         pitch_um=tuple(float(p) for p in pitch_um),
         origin_mm=tuple(float(o) for o in origin),
         exact=exact,
@@ -329,7 +325,6 @@ class LayerMask:
     pix_y: np.ndarray
     voxel_indices: np.ndarray  # linear index, x-fastest
     registration: PixelGridFrame
-    grid_dims: tuple[int, int, int]
 
     def __len__(self) -> int:
         return len(self.pix_x)
@@ -390,7 +385,6 @@ def layer_mask(vox: VoxelMesh, layer: int, reg: PixelGridFrame) -> LayerMask:
         pix_y=py[order].astype(np.int64),
         voxel_indices=linear[order].astype(np.uint32),
         registration=reg,
-        grid_dims=(nx, ny, nz),
     )
 
 

@@ -14,6 +14,7 @@ import io
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from operator import attrgetter
 
 import numpy as np
 
@@ -240,56 +241,40 @@ def fit_window_transmission(
 
 
 _PROFILE_SECTION = "profile"
-_PROFILE_KEYS = (
-    "emissivity_powder",
-    "emissivity_printed",
-    "window_transmission",
-    "reflected_temperature_c",
-    "model_a",
-    "model_b",
-    "model_c",
-)
+# each key of a profile file and the CalibrationProfile field it holds; the
+# model_* keys hold fields of its RadianceModel
+_PROFILE_KEYS = {
+    "emissivity_powder": "emissivity_powder",
+    "emissivity_printed": "emissivity_printed",
+    "window_transmission": "window_transmission",
+    "reflected_temperature_c": "reflected_temperature_c",
+    "model_a": "model.a_um",
+    "model_b": "model.b_um_k",
+    "model_c": "model.c_counts",
+}
 
 
 def profile_to_text(profile: CalibrationProfile) -> str:
     """Serialize to a UTF-8 key-value config section."""
     cp = configparser.ConfigParser()
-    cp[_PROFILE_SECTION] = {
-        "emissivity_powder": repr(profile.emissivity_powder),
-        "emissivity_printed": repr(profile.emissivity_printed),
-        "window_transmission": repr(profile.window_transmission),
-        "reflected_temperature_c": repr(profile.reflected_temperature_c),
-        "model_a": repr(profile.model.a_um),
-        "model_b": repr(profile.model.b_um_k),
-        "model_c": repr(profile.model.c_counts),
-    }
+    cp[_PROFILE_SECTION] = {key: repr(attrgetter(name)(profile)) for key, name in _PROFILE_KEYS.items()}
     buf = io.StringIO()
     cp.write(buf)
     return buf.getvalue()
 
 
 def profile_from_text(text: str) -> CalibrationProfile:
+    """Parse `profile_to_text` output; a key it leaves out keeps its default."""
     cp = configparser.ConfigParser()
     cp.read_string(text)
     if not cp.has_section(_PROFILE_SECTION):
         raise ParameterError("missing [profile] section")
     sec = cp[_PROFILE_SECTION]
-    defaults = CalibrationProfile()
-    model = RadianceModel(
-        a_um=sec.getfloat("model_a", defaults.model.a_um),
-        b_um_k=sec.getfloat("model_b", defaults.model.b_um_k),
-        c_counts=sec.getfloat("model_c", defaults.model.c_counts),
-    )
-    return CalibrationProfile(
-        emissivity_powder=sec.getfloat("emissivity_powder", defaults.emissivity_powder),
-        emissivity_printed=sec.getfloat(
-            "emissivity_printed", defaults.emissivity_printed
-        ),
-        window_transmission=sec.getfloat(
-            "window_transmission", defaults.window_transmission
-        ),
-        reflected_temperature_c=sec.getfloat(
-            "reflected_temperature_c", defaults.reflected_temperature_c
-        ),
-        model=model,
-    )
+    values: dict = {"model": {}}
+    for key in sec:
+        if key not in _PROFILE_KEYS:
+            raise ParameterError(f"unknown key {key!r} in section [{_PROFILE_SECTION}]")
+        *part, name = _PROFILE_KEYS[key].split(".")
+        (values["model"] if part else values)[name] = sec.getfloat(key)
+    values["model"] = RadianceModel(**values["model"])
+    return CalibrationProfile(**values)

@@ -10,7 +10,7 @@ generator, not a physics solver.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -28,19 +28,11 @@ class ScanParameters:
     stripe_width_mm: float = 10.0
     stripe_overlap_mm: float = 0.08
     rotation_per_layer_deg: float = 66.7
-    layer_thickness_um: float = 40.0
 
     def __post_init__(self):
-        for name in (
-            "scan_speed_mm_s",
-            "hatch_um",
-            "stripe_width_mm",
-            "stripe_overlap_mm",
-            "rotation_per_layer_deg",
-            "layer_thickness_um",
-        ):
-            if getattr(self, name) <= 0:
-                raise ParameterError(f"{name} must be positive")
+        for f in fields(self):
+            if not getattr(self, f.name) > 0:  # a NaN fails too
+                raise ParameterError(f"{f.name} must be positive")
 
 
 @dataclass(frozen=True)
@@ -114,9 +106,11 @@ def _nearest(px: np.ndarray, origin: float) -> np.ndarray:
     return (np.round(px - anchor) + anchor).astype(np.int64)
 
 
-def generate_scan_path(
-    mask: LayerMask, params: ScanParameters, layer: int, samples_per_pixel: float = 2.0
-) -> ScanPath:
+# path samples per pixel pitch along a hatch line
+SAMPLES_PER_PIXEL = 2.0
+
+
+def generate_scan_path(mask: LayerMask, params: ScanParameters, layer: int) -> ScanPath:
     """Bi-directional stripe hatching clipped to the layer mask.
 
     Stripes are bands of stripe_width along the layer's hatch direction
@@ -135,7 +129,7 @@ def generate_scan_path(
             x_px=np.empty(0),
             y_px=np.empty(0),
             t_s=np.empty(0),
-            step_mm=pitch_mm / samples_per_pixel,
+            step_mm=pitch_mm / SAMPLES_PER_PIXEL,
             orientation_deg=math.degrees(theta),
             origin_px=(ox, oy),
         )
@@ -152,7 +146,7 @@ def generate_scan_path(
     n_stripes = max(1, math.ceil((w_hi - w_lo) / params.stripe_width_mm))
     hatch_mm = params.hatch_um / 1000.0
     n_lines = int((l_hi - l_lo) / hatch_mm) + 1
-    step = pitch_mm / samples_per_pixel
+    step = pitch_mm / SAMPLES_PER_PIXEL
     dt = step / params.scan_speed_mm_s
 
     h, w = dense.shape
@@ -382,6 +376,10 @@ def first_visit_frames(
     return first
 
 
+# px, the least distance between two landings of one layer
+MIN_SEPARATION_PX = 6.0
+
+
 def make_spatter_schedule(
     path: ScanPath,
     mask: LayerMask,
@@ -393,7 +391,6 @@ def make_spatter_schedule(
     seed: int = 0,
     min_lead_frames: int = 20,
     clearance_px: float = 9.0,
-    min_separation_px: float = 6.0,
 ) -> SpatterSchedule:
     """Choose spatter events landing on powder well ahead of the laser.
 
@@ -410,10 +407,13 @@ def make_spatter_schedule(
     # the candidates are the visited pixels in row-major camera order
     candidates, first = _first_visits(path, (w, h), fr)
     last_frame = int(fr.max()) if len(fr) else prescan_frames
+    # every emit frame is at least prescan_frames + 2, so when the last first
+    # visit comes before that plus the lead, no draw can succeed
+    placeable = len(first) and int(first.max()) >= prescan_frames + 2 + min_lead_frames
     rng = np.random.default_rng(seed)
     chosen: list[SpatterEvent] = []
     attempts = 0
-    while len(chosen) < count and attempts < 4000:
+    while placeable and len(chosen) < count and attempts < 4000:
         attempts += 1
         emit = int(rng.integers(prescan_frames + 2, max(prescan_frames + 3, last_frame - min_lead_frames - 8)))
         j = rng.integers(len(candidates))
@@ -427,7 +427,7 @@ def make_spatter_schedule(
                 continue
         if any(
             math.hypot(ev.landing_px[0] - cx, ev.landing_px[1] - cy)
-            < min_separation_px
+            < MIN_SEPARATION_PX
             for ev in chosen
         ):
             continue
@@ -441,6 +441,6 @@ def make_spatter_schedule(
         )
     if len(chosen) < count:
         raise ParameterError(
-            f"could only place {len(chosen)} of {count} spatter events"
+            f"layer {mask.layer}: could only place {len(chosen)} of {count} spatter events"
         )
     return SpatterSchedule(events=chosen)

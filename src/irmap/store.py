@@ -7,8 +7,9 @@ IRVX layout (little-endian):
   entries (voxel linear index u32, value f32) interleaved.
 
 Entry indices are strictly increasing within a block and every
-(layer, feature_id) pair appears at most once. Reads are bounded by the
-actual byte count, so corrupt headers cannot trigger huge allocations.
+(layer, feature_id) pair appears at most once; a store that breaks either
+rule, or holds a part name that is not UTF-8, is corrupt. Reads are bounded
+by the actual byte count, so corrupt headers cannot trigger huge allocations.
 """
 
 from __future__ import annotations
@@ -120,21 +121,26 @@ def read_store(data: bytes) -> FeatureStore:
     parts = []
     for _ in range(n_parts):
         pid, nlen = struct.unpack("<HH", need(4, "part entry"))
-        name = need(nlen, "part name").decode("utf-8")
+        try:
+            name = need(nlen, "part name").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            at = pos - nlen
+            raise StoreCorruptionError(f"part {pid} name at byte {at} is not UTF-8", offset=at) from exc
         parts.append((pid, name))
     store = FeatureStore(meta=StoreMeta(pitch_um=pitch, dims=dims, parts=parts))
     (n_blocks,) = struct.unpack("<I", need(4, "block count"))
     for _ in range(n_blocks):
+        start = pos
         layer, fid, count = struct.unpack("<IBI", need(9, "block header"))
         raw = need(count * _ENTRY_DTYPE.itemsize, "block entries", layer, fid)
         packed = np.frombuffer(raw, dtype=_ENTRY_DTYPE)
-        store.add(
-            layer,
-            fid,
-            SparseFeature(
-                indices=packed["index"].copy(), values=packed["value"].copy()
-            ),
-        )
+        sparse = SparseFeature(indices=packed["index"].copy(), values=packed["value"].copy())
+        try:
+            store.add(layer, fid, sparse)
+        except ParameterError as exc:  # a repeated block, or indices out of order
+            raise StoreCorruptionError(
+                f"block at byte {start}: {exc}", offset=start, layer=layer, feature_id=fid
+            ) from exc
     return store
 
 
@@ -170,10 +176,8 @@ def _layer_grid(store: FeatureStore, layer: int, feature_id: int):
     grid = np.full((ny, nx), np.nan, dtype=np.float64)
     idx = sp.indices.astype(np.int64)
     plane = idx - nx * ny * layer
-    i = plane % nx
-    j = plane // nx
-    grid[j, i] = sp.values
-    return grid, i, j
+    grid[plane // nx, plane % nx] = sp.values
+    return grid
 
 
 def export_grid(store: FeatureStore, layer: int, feature_id: int, fmt: str) -> bytes:
@@ -202,7 +206,7 @@ def _export_csv(store: FeatureStore, layer: int, feature_id: int) -> bytes:
 
 
 def _export_vtk(store: FeatureStore, layer: int, feature_id: int) -> bytes:
-    grid, _, _ = _layer_grid(store, layer, feature_id)
+    grid = _layer_grid(store, layer, feature_id)
     nx, ny, _ = store.meta.dims
     px, py, pz = store.meta.pitch_um
     header = (
@@ -223,7 +227,7 @@ def _export_vtk(store: FeatureStore, layer: int, feature_id: int) -> bytes:
 
 
 def _export_pgm(store: FeatureStore, layer: int, feature_id: int) -> bytes:
-    grid, _, _ = _layer_grid(store, layer, feature_id)
+    grid = _layer_grid(store, layer, feature_id)
     nx, ny, _ = store.meta.dims
     valid = np.isfinite(grid)
     out = np.zeros((ny, nx), dtype=">u2")

@@ -10,6 +10,7 @@ from irmap.cli import RunConfig, load_config, main
 from irmap.geometry import box_mesh, mesh_to_binary_stl
 from irmap.radiometry import CalibrationProfile, forward_counts, profile_to_text
 from irmap.store import quantize_counts, read_layer_stack, write_layer_stack
+from test_store import MALFORMED_STORES
 
 MINI_CONFIG = """\
 [run]
@@ -66,7 +67,6 @@ hatch_um = 90
 stripe_width_mm = 5
 stripe_overlap_mm = 0.1
 rotation_per_layer_deg = 45
-layer_thickness_um = 30
 
 [thermal]
 ambient_c = 100
@@ -111,7 +111,6 @@ FULL_CONFIG_FIELDS = {
     "stripe_width_mm": 5.0,
     "stripe_overlap_mm": 0.1,
     "rotation_per_layer_deg": 45.0,
-    "layer_thickness_um": 30.0,
     "ambient_c": 100.0,
     "peak_c": 1500.0,
     "footprint_px": 2.0,
@@ -175,15 +174,78 @@ class TestExitCodes:
                 ("[camera]", "[camera]\nbogus = 1"),
                 "unknown key 'bogus' in section [camera]",
             ),
+            ([], ("360,360,40", "0,360,40"), "geometry.pitch_um"),
+            ([], ("360,360,40", "360,nan,40"), "geometry.pitch_um"),
+            ([], ("fps = 30", "fps = 0"), "fps must be a positive number"),
+            ([], ("origin_x = 32", "origin_x = 64"), "origin pixel outside frame dims"),
+            ([], ("[camera]", "[scan]\nhatch_um = 0\n[camera]"), "hatch_um must be positive"),
+            ([], ("[camera]", "[thermal]\nfootprint_px = 0.5\n[camera]"), "footprint must be at least 1 px"),
         ],
-        ids=["jobs-zero", "jobs-negative", "pitch-not-a-number", "section", "key"],
+        ids=[
+            "jobs-zero",
+            "jobs-negative",
+            "pitch-not-a-number",
+            "section",
+            "key",
+            "pitch-zero",
+            "pitch-nan",
+            "fps-zero",
+            "origin-outside-frame",
+            "hatch-zero",
+            "footprint-below-1-px",
+        ],
     )
     def test_bad_config_value(self, mini_build, capsys, flags, ini_edit, message):
         cfg = mini_build / "mini.ini"
         if ini_edit:
             cfg.write_text(cfg.read_text().replace(*ini_edit))
         assert main(["extract", "--config", str(cfg), *flags]) == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err and str(cfg) in err
+
+    @pytest.mark.parametrize("pitch", ["nan,360,40", "360,0,40", "360,360,-40", "360,inf,40"])
+    def test_bad_voxelize_pitch(self, mini_build, capsys, pitch):
+        assert main(["voxelize", "--stl", str(mini_build / "mini.stl"), "--pitch", pitch]) == 2
+        assert f"bad --pitch {pitch!r}" in capsys.readouterr().err
+
+    def test_misspelled_profile_key(self, mini_build, capsys):
+        text = profile_to_text(CalibrationProfile()).replace("emissivity_powder", "emisivity_powder")
+        (mini_build / "cal.profile").write_text(text)
+        cfg = mini_build / "mini.ini"
+        cfg.write_text(cfg.read_text().replace("[run]", "[run]\nprofile = cal.profile"))
+        assert main(["extract", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "cal.profile" in err and "unknown key 'emisivity_powder' in section [profile]" in err
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_STORES))
+    @pytest.mark.parametrize("command", ["report", "export"])
+    def test_malformed_store_is_data_error(self, tmp_path, capsys, command, case):
+        store_path = tmp_path / "bad.irvx"
+        store_path.write_bytes(MALFORMED_STORES[case][0])
+        out = ["--layer", "0", "--feature", "interpass", "--out", str(tmp_path / "x.csv")]
+        assert main([command, "--store", str(store_path), *(out if command == "export" else [])]) == 3
+        err = capsys.readouterr().err
+        assert f"data error: {store_path}: " in err and MALFORMED_STORES[case][1] in err
+
+    @pytest.mark.parametrize("where", ["store", "stl-flag", "stl-key", "frame-stack"])
+    def test_directory_given_as_file(self, mini_build, capsys, where):
+        cfg = mini_build / "mini.ini"
+        folder = mini_build / "folder.stl"
+        if where == "store":
+            folder, argv = mini_build, ["report", "--store", str(mini_build)]
+        elif where == "stl-flag":
+            argv = ["voxelize", "--stl", str(folder)]
+        elif where == "stl-key":
+            cfg.write_text(cfg.read_text().replace("stl = mini.stl", "stl = folder.stl"))
+            argv = ["extract", "--config", str(cfg)]
+        else:
+            folder = mini_build / "frames" / "layer_0000.irfs"
+            cfg.write_text(MINI_CONFIG.format(frames_dir="frames"))
+            argv = ["extract", "--config", str(cfg)]
+        folder.mkdir(parents=True, exist_ok=True)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert str(folder) in err and (where != "frame-stack" or "layer 0" in err)
 
     def test_every_config_key_loads(self, tmp_path):
         part = mesh_to_binary_stl(box_mesh((3.6, 3.6, 0.08)))

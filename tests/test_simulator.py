@@ -172,6 +172,25 @@ class TestSpatterSchedule:
             make_spatter_schedule(path, mask, cfg.spatter_count)
         assert make_spatter_schedule(path, mask, 0).events == []
 
+    def test_unplaceable_schedule_fails_before_drawing(self, monkeypatch):
+        mask = small_mask()  # scanned in a few frames: no pixel is 20 frames ahead of any emit frame
+        path = generate_scan_path(mask, ScanParameters(), 0)
+        fr = 3 + np.floor(path.t_s * 30.0)
+        assert fr.max() < 3 + 2 + 20
+        with pytest.raises(ParameterError, match="could only place 0 of 4 spatter events"):
+            oracles.make_spatter_schedule(path, mask, 4)
+
+        class NoDraws:
+            def __init__(self, seed):
+                pass
+
+            def integers(self, *args):
+                raise AssertionError("a spatter draw was made")
+
+        monkeypatch.setattr(np.random, "default_rng", NoDraws)
+        with pytest.raises(ParameterError, match="^layer 0: could only place 0 of 4 spatter events$"):
+            make_spatter_schedule(path, mask, 4)
+
     def test_events_land_ahead_of_laser(self, profile):
         mask = small_mask(size_mm=7.2)
         path = generate_scan_path(mask, ScanParameters(), 0)

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,24 @@ def random_store(rng, layers=10, features=10):
             vals = rng.normal(size=n).astype(np.float32)
             fs.add(layer, fid, SparseFeature(indices=idx, values=vals))
     return fs
+
+
+def _store_bytes(part=b"part", blocks=((0, 1, (1, 2)),)):
+    """A one-part IRVX store on a 4x4x1 grid, written field by field, so it
+    may break the layout's rules: blocks are (layer, feature, indices)."""
+    out = b"IRVX" + struct.pack("<I3f3II", 1, 360.0, 360.0, 40.0, 4, 4, 1, 1)
+    out += struct.pack("<HH", 1, len(part)) + part + struct.pack("<I", len(blocks))
+    for layer, fid, idx in blocks:
+        out += struct.pack("<IBI", layer, fid, len(idx)) + b"".join(struct.pack("<If", i, 0.0) for i in idx)
+    return out
+
+
+# stores whose bytes are all there but break a rule of the layout
+MALFORMED_STORES = {
+    "part-name-not-utf8": (_store_bytes(part=b"\xffart"), "not UTF-8"),
+    "repeated-block": (_store_bytes(blocks=((0, 1, (1,)), (0, 1, (2,)))), "already present"),
+    "decreasing-indices": (_store_bytes(blocks=((0, 1, (3, 1)),)), "strictly increasing"),
+}
 
 
 def stores_equal(a, b):
@@ -110,12 +130,16 @@ class TestCorruption:
         fs.add(0, 0, SparseFeature(np.array([1], np.uint32), np.ones(1, np.float32)))
         data = bytearray(write_store(fs))
         # inflate the declared entry count of the single block
-        import struct
-
         count_pos = len(data) - 8 - 4  # one 8-byte entry, count just before it
         data[count_pos : count_pos + 4] = struct.pack("<I", 2**31)
         with pytest.raises(StoreCorruptionError):
             read_store(bytes(data))
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_STORES))
+    def test_rule_breaking_store_is_corrupt(self, case):
+        data, message = MALFORMED_STORES[case]
+        with pytest.raises(StoreCorruptionError, match=message):
+            read_store(data)
 
 
 class TestExports:
