@@ -30,13 +30,14 @@ EXIT_DATA = 3
 EXIT_INTERNAL = 4
 
 
-def _ini(default, section: str, key: str = "", parse=None):
+def _ini(default, section: str, key: str = "", parse=None, at_least=None):
     """A RunConfig field read from `key` (default: the field name) of [section].
 
     `parse` maps the value text to {field name: value}, for keys that set
-    several fields or are not a plain int, float or str.
+    several fields or are not a plain int, float or str. A value below
+    `at_least` is a config error.
     """
-    return field(default=default, metadata={"ini": (section, key, parse)})
+    return field(default=default, metadata={"ini": (section, key, parse), "at_least": at_least})
 
 
 def _parse_layers(text: str) -> dict:
@@ -71,7 +72,7 @@ class RunConfig:
     out: str = _ini("features.irvx", "run")
     frames_dir: str = _ini("", "run")  # empty = simulate in memory
     seed: int = _ini(0, "run")
-    jobs: int = _ini(1, "run")
+    jobs: int = _ini(1, "run", at_least=1)
     layer_lo: int = _ini(0, "run", "layers", _parse_layers)  # sets layer_hi too
     layer_hi: int = -1  # -1 = all layers of the voxel grid
     features: tuple[int, ...] = _ini((), "run", "features", _parse_features)  # () = all
@@ -98,14 +99,14 @@ class RunConfig:
     decay_s: float = _ini(0.033, "thermal")
 
     noise_percent: float = _ini(0.0, "simulation")  # % of each layer's count range
-    prescan_frames: int = _ini(3, "simulation")
-    tail_frames: int = _ini(35, "simulation")
-    spatter_count: int = _ini(0, "simulation")
+    prescan_frames: int = _ini(3, "simulation", at_least=0)
+    tail_frames: int = _ini(35, "simulation", at_least=0)
+    spatter_count: int = _ini(0, "simulation", at_least=0)
     spatter_peak_dt_c: float = _ini(400.0, "simulation")
     spatter_decay_s: float = _ini(0.15, "simulation")
 
-    offset_frames: int = _ini(10, "features")
-    cooling_window: int = _ini(30, "features")
+    offset_frames: int = _ini(10, "features", at_least=0)
+    cooling_window: int = _ini(30, "features", at_least=1)
     spatter_floor_sigmas: float = _ini(6.0, "features")
 
     profile_path: str = _ini("", "run", "profile")  # empty = built-in defaults
@@ -204,8 +205,10 @@ def _validate(cfg: RunConfig) -> None:
     stl = cfg._resolve(cfg.stl)
     if not os.path.exists(stl):
         raise ConfigError(f"STL file not found: {stl}")
-    if cfg.jobs < 1:
-        raise ConfigError("jobs must be at least 1")
+    for f in fields(RunConfig):
+        low = f.metadata.get("at_least")
+        if low is not None and getattr(cfg, f.name) < low:
+            raise ConfigError(f"[{f.metadata['ini'][0]}] {f.name} must be at least {low}")
     if not (0.0 <= cfg.noise_percent <= 100.0):
         raise ConfigError("noise_percent must be in [0, 100]")
     if not 0.0 < cfg.fps < np.inf:
@@ -245,16 +248,19 @@ def _simulate_layer(cfg: RunConfig, vox: geometry.VoxelMesh, layer: int):
     path = simulator.generate_scan_path(mask, cfg.scan_params(), layer)
     schedule = simulator.SpatterSchedule()
     if cfg.spatter_count > 0 and len(path):
-        schedule = simulator.make_spatter_schedule(
-            path,
-            mask,
-            cfg.spatter_count,
-            peak_dt_c=cfg.spatter_peak_dt_c,
-            decay_s=cfg.spatter_decay_s,
-            fps=cfg.fps,
-            prescan_frames=cfg.prescan_frames,
-            seed=cfg.seed + 7919 * layer,
-        )
+        try:
+            schedule = simulator.make_spatter_schedule(
+                path,
+                mask,
+                cfg.spatter_count,
+                peak_dt_c=cfg.spatter_peak_dt_c,
+                decay_s=cfg.spatter_decay_s,
+                fps=cfg.fps,
+                prescan_frames=cfg.prescan_frames,
+                seed=cfg.seed + 7919 * layer,
+            )
+        except ParameterError as exc:  # the layer has too few places for spatter_count
+            raise ConfigError(f"[simulation] spatter_count = {cfg.spatter_count}: {exc}") from exc
     stack, truth = simulator.render_frames(
         path,
         (cfg.cam_width, cfg.cam_height),

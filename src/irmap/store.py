@@ -194,14 +194,10 @@ def export_grid(store: FeatureStore, layer: int, feature_id: int, fmt: str) -> b
 def _export_csv(store: FeatureStore, layer: int, feature_id: int) -> bytes:
     sp = store.get(layer, feature_id)
     nx, ny, _ = store.meta.dims
-    lines = ["i,j,layer,value"]
-    idx = sp.indices.astype(np.int64)
-    plane = idx - nx * ny * layer
-    for k in range(len(idx)):
-        v = float(sp.values[k])
-        if np.isnan(v):
-            continue
-        lines.append(f"{plane[k] % nx},{plane[k] // nx},{layer},{v!r}")
+    keep = ~np.isnan(sp.values)
+    plane = sp.indices[keep].astype(np.int64) - nx * ny * layer
+    rows = zip((plane % nx).tolist(), (plane // nx).tolist(), sp.values[keep].tolist())
+    lines = ["i,j,layer,value"] + [f"{i},{j},{layer},{v!r}" for i, j, v in rows]
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
@@ -221,8 +217,7 @@ def _export_vtk(store: FeatureStore, layer: int, feature_id: int) -> bytes:
         f"SCALARS feature_{feature_id} float 1\n"
         "LOOKUP_TABLE default\n"
     )
-    vals = grid.reshape(-1)  # x-fastest: grid is (ny, nx) row-major
-    body = "\n".join(repr(float(v)) for v in vals)
+    body = "\n".join(map(repr, grid.reshape(-1).tolist()))  # x fastest: grid is (ny, nx)
     return (header + body + "\n").encode("utf-8")
 
 
@@ -232,10 +227,10 @@ def _export_pgm(store: FeatureStore, layer: int, feature_id: int) -> bytes:
     valid = np.isfinite(grid)
     out = np.zeros((ny, nx), dtype=">u2")
     if valid.any():
-        lo = float(grid[valid].min())
-        hi = float(grid[valid].max())
+        vals = grid[valid]
+        lo, hi = float(vals.min()), float(vals.max())
         span = hi - lo if hi > lo else 1.0
-        out[valid] = np.round((grid[valid] - lo) / span * 65535.0).astype(">u2")
+        out[valid] = np.round((vals - lo) / span * 65535.0).astype(">u2")
     header = f"P5\n{nx} {ny}\n65535\n".encode("ascii")
     return header + out.tobytes()
 

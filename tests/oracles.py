@@ -11,7 +11,7 @@ the stack one frame at a time. The simulator's scan path is built one hatch
 line at a time, its counts and noise one frame at a time, and its spatter
 candidates from a whole camera frame; the radiance model and the count
 conversion are one expression each, and the disk dilation ORs in every offset
-of the footprint.
+of the footprint. The CSV and VTK exports format one stored value at a time.
 """
 
 from __future__ import annotations
@@ -66,6 +66,7 @@ from irmap.simulator import (
     _nearest,
     _true_temperatures,
 )
+from irmap.store import _layer_grid
 
 _OFFSETS_4 = ((-1, 0), (0, -1))
 _OFFSETS_8 = ((-1, 0), (0, -1), (-1, -1), (-1, 1))
@@ -713,3 +714,40 @@ def make_spatter_schedule(
     if len(chosen) < count:
         raise ParameterError(f"could only place {len(chosen)} of {count} spatter events")
     return SpatterSchedule(events=chosen)
+
+
+def export_csv(store, layer: int, feature_id: int) -> bytes:
+    """`store.export_grid(..., "csv")` formatting one entry at a time."""
+    sp = store.get(layer, feature_id)
+    nx, ny, _ = store.meta.dims
+    lines = ["i,j,layer,value"]
+    idx = sp.indices.astype(np.int64)
+    plane = idx - nx * ny * layer
+    for k in range(len(idx)):
+        v = float(sp.values[k])
+        if np.isnan(v):
+            continue
+        lines.append(f"{plane[k] % nx},{plane[k] // nx},{layer},{v!r}")
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def export_vtk(store, layer: int, feature_id: int) -> bytes:
+    """`store.export_grid(..., "vtk")` formatting one voxel at a time."""
+    grid = _layer_grid(store, layer, feature_id)
+    nx, ny, _ = store.meta.dims
+    px, py, pz = store.meta.pitch_um
+    header = (
+        "# vtk DataFile Version 3.0\n"
+        f"irmap feature {feature_id} layer {layer}\n"
+        "ASCII\n"
+        "DATASET STRUCTURED_POINTS\n"
+        f"DIMENSIONS {nx} {ny} 1\n"
+        f"ORIGIN 0 0 {layer * pz / 1000.0}\n"
+        f"SPACING {px / 1000.0} {py / 1000.0} {pz / 1000.0}\n"
+        f"POINT_DATA {nx * ny}\n"
+        f"SCALARS feature_{feature_id} float 1\n"
+        "LOOKUP_TABLE default\n"
+    )
+    vals = grid.reshape(-1)  # x-fastest: grid is (ny, nx) row-major
+    body = "\n".join(repr(float(v)) for v in vals)
+    return (header + body + "\n").encode("utf-8")

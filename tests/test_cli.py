@@ -180,6 +180,11 @@ class TestExitCodes:
             ([], ("origin_x = 32", "origin_x = 64"), "origin pixel outside frame dims"),
             ([], ("[camera]", "[scan]\nhatch_um = 0\n[camera]"), "hatch_um must be positive"),
             ([], ("[camera]", "[thermal]\nfootprint_px = 0.5\n[camera]"), "footprint must be at least 1 px"),
+            ([], ("prescan_frames = 3", "prescan_frames = -1"), "[simulation] prescan_frames must be at least 0"),
+            ([], ("tail_frames = 35", "tail_frames = -5"), "[simulation] tail_frames must be at least 0"),
+            ([], ("spatter_count = 0", "spatter_count = -1"), "[simulation] spatter_count must be at least 0"),
+            ([], ("[camera]", "[features]\noffset_frames = -1\n[camera]"), "[features] offset_frames must be at least 0"),
+            ([], ("[camera]", "[features]\ncooling_window = 0\n[camera]"), "[features] cooling_window must be at least 1"),
         ],
         ids=[
             "jobs-zero",
@@ -193,6 +198,11 @@ class TestExitCodes:
             "origin-outside-frame",
             "hatch-zero",
             "footprint-below-1-px",
+            "prescan-negative",
+            "tail-negative",
+            "spatter-count-negative",
+            "offset-negative",
+            "cooling-window-zero",
         ],
     )
     def test_bad_config_value(self, mini_build, capsys, flags, ini_edit, message):
@@ -202,6 +212,13 @@ class TestExitCodes:
         assert main(["extract", "--config", str(cfg), *flags]) == 2
         err = capsys.readouterr().err
         assert message in err and str(cfg) in err
+
+    def test_unplaceable_spatter_count(self, mini_build, capsys):
+        cfg = mini_build / "mini.ini"
+        cfg.write_text(cfg.read_text().replace("spatter_count = 0", "spatter_count = 200"))
+        assert main(["extract", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "[simulation] spatter_count = 200: layer 0: could only place" in err
 
     @pytest.mark.parametrize("pitch", ["nan,360,40", "360,0,40", "360,360,-40", "360,inf,40"])
     def test_bad_voxelize_pitch(self, mini_build, capsys, pitch):

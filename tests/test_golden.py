@@ -8,7 +8,8 @@ the sha256 of its u32 indices followed by its f32 values; the in-memory and
 replayed runs of one build share its block pins. A block that differs is
 named by layer and feature, with its largest absolute difference from the
 reference values kept in `golden.npz` (each block's values, and each
-layer's voxel indices once).
+layer's voxel indices once). The csv, vtk and pgm-heatmap exports of every
+demo block are pinned by their sha256 too.
 
 A change that alters the output on purpose regenerates `golden.json` and
 `golden.npz` with `PYTHONPATH=src python tests/test_golden.py` and says so.
@@ -39,6 +40,7 @@ CASES = [
     ("mini-noise1-replay", "mini-noise1"),
     ("demo-layers-0-1", "demo-layers-0-1"),
 ]
+EXPORT_FORMATS = ("csv", "vtk", "pgm-heatmap")
 
 
 def _run(case: str, work: str) -> str:
@@ -63,11 +65,28 @@ def _run(case: str, work: str) -> str:
     return os.path.join(work, "mini.irvx")
 
 
+def _read(path: str) -> store.FeatureStore:
+    with open(path, "rb") as fh:
+        return store.read_store(fh.read())
+
+
+def _key(layer: int, fid: int) -> str:
+    return f"{layer}/{FeatureId(fid).name.lower()}"
+
+
 def _blocks(path: str) -> dict:
     """{"layer/feature": SparseFeature} of the store at `path`."""
-    with open(path, "rb") as fh:
-        fstore = store.read_store(fh.read())
-    return {f"{layer}/{FeatureId(fid).name.lower()}": b for (layer, fid), b in fstore.blocks.items()}
+    return {_key(*k): b for k, b in _read(path).blocks.items()}
+
+
+def _export_digests(path: str) -> dict:
+    """{"layer/feature/format": sha256} of every export of every block."""
+    fstore = _read(path)
+    return {
+        f"{_key(*k)}/{fmt}": hashlib.sha256(store.export_grid(fstore, *k, fmt)).hexdigest()
+        for k in sorted(fstore.blocks)
+        for fmt in EXPORT_FORMATS
+    }
 
 
 def _digest(block) -> str:
@@ -118,14 +137,25 @@ def test_blocks_and_manifest_match_pins(golden, tmp_path, case, build):
     assert _file_digest(path + ".manifest.txt") == pins["manifests"][case], f"{case}: manifest differs"
 
 
+def test_demo_exports_match_pins(golden, tmp_path):
+    pins, _ = golden
+    got = _export_digests(_run("demo-layers-0-1", str(tmp_path)))
+    expected = pins["exports"]["demo-layers-0-1"]
+    assert sorted(got) == sorted(expected), "exported blocks or formats differ"
+    wrong = [key for key in sorted(got) if got[key] != expected[key]]
+    assert not wrong, "exports differ: " + ", ".join(wrong)
+
+
 def regenerate() -> None:
     """Rewrite golden.json and golden.npz from the current program."""
-    pins, values = {"blocks": {}, "manifests": {}}, {}
+    pins, values = {"blocks": {}, "exports": {}, "manifests": {}}, {}
     for case, build in CASES:
         with tempfile.TemporaryDirectory() as work:
             path = _run(case, work)
             pins["manifests"][case] = _file_digest(path + ".manifest.txt")
             blocks = _blocks(path)
+            if case.startswith("demo"):
+                pins["exports"][build] = _export_digests(path)
         digests = {key: _digest(b) for key, b in sorted(blocks.items())}
         if pins["blocks"].setdefault(build, digests) != digests:
             raise SystemExit(f"{case} stores other blocks than the first run of {build}")

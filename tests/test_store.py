@@ -3,6 +3,7 @@ import struct
 import numpy as np
 import pytest
 
+import oracles
 from irmap.errors import (
     FeatureNotFoundError,
     ParameterError,
@@ -36,9 +37,29 @@ def random_store(rng, layers=10, features=10):
             if rng.random() < 0.3:
                 continue
             n = int(rng.integers(0, nx * ny))
-            idx = np.sort(rng.choice(nx * ny, size=n, replace=False)).astype(np.uint32)
+            idx = (nx * ny * layer + np.sort(rng.choice(nx * ny, size=n, replace=False))).astype(np.uint32)
             vals = rng.normal(size=n).astype(np.float32)
             fs.add(layer, fid, SparseFeature(indices=idx, values=vals))
+    return fs
+
+
+def edge_store():
+    """A 4x3x3 store whose blocks hold the values text formatting can get
+    wrong: (layer 0, feature 0) NaN, +-inf, -0.0, a float32 subnormal and
+    float32 max; feature 1 no entries; feature 2 only NaN; feature 3 one
+    entry; and (layer 2, feature 0) a block above layer 0."""
+    fs = FeatureStore(StoreMeta(pitch_um=(360.0, 360.0, 40.0), dims=(4, 3, 3)))
+    f32 = np.finfo(np.float32)
+    edge = [np.nan, np.inf, -np.inf, -0.0, 1e-45, f32.max, -f32.max, 0.1, 1.0]
+    blocks = {
+        (0, 0): (np.arange(len(edge)), edge),
+        (0, 1): ([], []),
+        (0, 2): ([0, 5, 11], [np.nan] * 3),
+        (0, 3): ([7], [2.5]),
+        (2, 0): (2 * 12 + np.arange(0, 12, 2), [np.nan, -0.0, 1e-45, 3.25, -np.inf, 0.3]),
+    }
+    for (layer, fid), (idx, vals) in blocks.items():
+        fs.add(layer, fid, SparseFeature(np.asarray(idx, np.uint32), np.asarray(vals, np.float32)))
     return fs
 
 
@@ -179,6 +200,23 @@ class TestExports:
         data = export_grid(fs, 1, 4, "pgm-heatmap")
         assert data.startswith(b"P5")
         assert b"65535" in data.split(b"\n")[2] or b"65535" in data.split(b"\n")[1]
+
+    @pytest.mark.parametrize("fmt, oracle", [("csv", oracles.export_csv), ("vtk", oracles.export_vtk)])
+    def test_text_exports_match_oracle(self, rng, fmt, oracle):
+        for fs in (random_store(rng), edge_store()):
+            for key in fs.blocks:
+                assert export_grid(fs, *key, fmt) == oracle(fs, *key), f"block {key}"
+
+    def test_csv_values_round_trip(self):
+        fs = edge_store()
+        rows = export_grid(fs, 0, 0, "csv").decode().splitlines()[1:]
+        want = fs.blocks[(0, 0)].values[1:].astype(np.float64)  # the NaN row is omitted
+        got = np.array([float(r.split(",")[3]) for r in rows])
+        assert got.tobytes() == want.tobytes()  # -0.0 and the subnormal keep their bits
+
+    @pytest.mark.parametrize("fid", [1, 2], ids=["empty", "all-nan"])
+    def test_pgm_of_block_without_values_is_zero(self, fid):
+        assert export_grid(edge_store(), 0, fid, "pgm-heatmap") == b"P5\n4 3\n65535\n" + bytes(2 * 12)
 
     def test_absent_pair(self):
         fs = self.single_voxel_store()
