@@ -127,8 +127,8 @@ class RunConfig:
     def _resolve(self, rel: str) -> str:
         return rel if os.path.isabs(rel) else os.path.join(self.config_dir, rel)
 
-    def registration(self) -> spatial.PixelGridFrame:
-        return spatial.PixelGridFrame(
+    def registration(self) -> geometry.PixelGridFrame:
+        return geometry.PixelGridFrame(
             pitch_um=self.pitch_x_um,
             origin_px=(self.origin_x, self.origin_y),
             dims=(self.cam_width, self.cam_height),
@@ -213,6 +213,10 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("noise_percent must be in [0, 100]")
     if not 0.0 < cfg.fps < np.inf:
         raise ConfigError("fps must be a positive number")
+    if cfg.pitch_x_um != cfg.pitch_y_um:  # one voxel column per camera pixel
+        raise ConfigError(
+            f"[geometry] pitch_um x and y must be equal, got {cfg.pitch_x_um:g} and {cfg.pitch_y_um:g}"
+        )
     try:
         cfg.registration(), cfg.scan_params(), cfg.params(simulator.ThermalParams)
     except ParameterError as exc:
@@ -504,7 +508,7 @@ def _cmd_calibrate_spatial(args) -> int:
     print("homography (row-major):")
     for row in h.matrix:
         print("  " + " ".join(f"{v: .10g}" for v in row))
-    print(f"max reprojection residual: {h.max_residual:.6g} px")
+    print(f"max reprojection residual: {h.max_residual:.6g} mm")
     if args.out:
         np.savetxt(args.out, h.matrix, fmt="%.17g")
     return EXIT_OK

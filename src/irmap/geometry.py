@@ -1,4 +1,5 @@
-"""STL parsing, camera-aligned voxelization, and voxel-to-pixel registration.
+"""STL parsing, camera-aligned voxelization, the camera pixel grid, and
+voxel-to-pixel registration.
 
 Voxels default to 360 x 360 x 40 um (in-plane camera pitch by build layer
 thickness). A voxel is occupied when its center lies inside the mesh by a
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutOfFrameError, ParameterError, StlParseError, StlTruncationError
-from .spatial import PixelGridFrame
 
 DEFAULT_PITCH_UM = (360.0, 360.0, 40.0)
 
@@ -40,12 +40,6 @@ class TriangleMesh:
     def bbox(self) -> tuple[np.ndarray, np.ndarray]:
         flat = self.vertices.reshape(-1, 3)
         return flat.min(axis=0), flat.max(axis=0)
-
-    def translated(self, offset) -> "TriangleMesh":
-        return TriangleMesh(
-            vertices=self.vertices + np.asarray(offset, dtype=np.float64),
-            normals=self.normals.copy(),
-        )
 
     def is_watertight(self) -> bool:
         """Every edge shared by exactly two triangles (vertex-exact match)."""
@@ -312,6 +306,23 @@ def _rays_parity(y, z, xc, tris, tol, pitch_mm):
     flips = np.bincount(ray * (nx + 1) + m, minlength=len(y) * (nx + 1)).reshape(len(y), nx + 1)
     crossings = np.cumsum(flips[:, ::-1], axis=1)[:, ::-1]  # crossings[:, i] = flips[:, i:].sum()
     return crossings[:, 1:] % 2 == 1
+
+
+@dataclass(frozen=True)
+class PixelGridFrame:
+    """Registration of the corrected pixel grid to the plate."""
+
+    pitch_um: float
+    origin_px: tuple[int, int]  # pixel coordinates of the plate center
+    dims: tuple[int, int]  # (width, height) in pixels
+
+    def __post_init__(self):
+        if self.pitch_um <= 0:
+            raise ParameterError("pitch must be positive")
+        x, y = self.origin_px
+        w, h = self.dims
+        if not (0 <= x < w and 0 <= y < h):
+            raise ParameterError("origin pixel outside frame dims")
 
 
 @dataclass

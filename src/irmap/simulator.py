@@ -182,28 +182,20 @@ def generate_scan_path(mask: LayerMask, params: ScanParameters, layer: int) -> S
 @dataclass
 class GroundTruth:
     """A layer's ground truth, kept on its render window. `true_scan_order`
-    and `emissivity_map` are camera-frame arrays built each time they are
-    read; every pixel outside the window is unscanned powder."""
+    is the camera-frame scan order, built each time it is read; every pixel
+    outside the window is unscanned powder."""
 
     scan_order: np.ndarray  # frame index per window pixel, -1 unscanned
     emissivity: np.ndarray  # final emissivity per window pixel
     spatter_events: list[SpatterEvent]
     origin: tuple[int, int]  # camera (row, col) of the window's [0, 0] pixel
     dims: tuple[int, int]  # camera (width, height)
-    powder_emissivity: float
 
     @property
     def true_scan_order(self) -> np.ndarray:
-        return self._on_camera(self.scan_order, UNSCANNED)
-
-    @property
-    def emissivity_map(self) -> np.ndarray:
-        return self._on_camera(self.emissivity, self.powder_emissivity)
-
-    def _on_camera(self, window: np.ndarray, fill) -> np.ndarray:
-        (y0, x0), (h, w) = self.origin, window.shape
-        out = np.full(self.dims[::-1], fill, dtype=window.dtype)
-        out[y0 : y0 + h, x0 : x0 + w] = window
+        (y0, x0), (h, w) = self.origin, self.scan_order.shape
+        out = np.full(self.dims[::-1], UNSCANNED, dtype=self.scan_order.dtype)
+        out[y0 : y0 + h, x0 : x0 + w] = self.scan_order
         return out
 
 
@@ -351,7 +343,7 @@ def render_frames(
             noisy += counts[a:b]
         frames[a:b] = quantize_counts(noisy)
     stack = LayerStack(frames=frames, fps=fps, layer=layer, origin=origin)
-    return stack, GroundTruth(scan_order, eps[-1].copy(), list(spatters.events), origin, dims, profile.emissivity_powder)
+    return stack, GroundTruth(scan_order, eps[-1].copy(), list(spatters.events), origin, dims)
 
 
 def _first_visits(path: ScanPath, dims: tuple[int, int], fr: np.ndarray):
@@ -363,17 +355,6 @@ def _first_visits(path: ScanPath, dims: tuple[int, int], fr: np.ndarray):
     # fr never decreases along the path, so a pixel's first sample is its earliest visit
     pixels, first_sample = np.unique(iy * w + ix, return_index=True)
     return pixels, fr[first_sample]
-
-
-def first_visit_frames(
-    path: ScanPath, dims: tuple[int, int], fps: float = 30.0, prescan_frames: int = 3
-) -> np.ndarray:
-    """Frame index of each pixel's first laser visit, -1 where never visited."""
-    w, h = dims
-    first = np.full((h, w), UNSCANNED, dtype=np.int64)
-    pixels, frames = _first_visits(path, dims, prescan_frames + np.floor(path.t_s * fps).astype(np.int64))
-    first.flat[pixels] = frames
-    return first
 
 
 # px, the least distance between two landings of one layer

@@ -1,8 +1,9 @@
-"""Perspective correction: homography estimation, warping, and the pixel grid frame.
+"""Spatial calibration for `irmap calibrate-spatial`: the image-to-plate homography.
 
 The homography maps raw image coordinates to metric plate coordinates
-(plate center at the origin). Estimation uses the exact 8x8 solve for four
-correspondences and a normalized direct linear transform for more.
+(plate center at the origin), fitted from plate-marker correspondences by
+one normalized direct linear transform. The extraction pipeline does not
+apply it yet; voxels register to the pixel grid `geometry.PixelGridFrame`.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ import numpy as np
 
 from .errors import DegeneracyError, HorizonError, ParameterError
 
-FILL_VALUE = np.nan
-
 
 @dataclass(frozen=True)
 class Homography:
@@ -24,7 +23,7 @@ class Homography:
     max_residual: float | None = None
 
     @classmethod
-    def from_matrix(cls, m, max_residual=None) -> "Homography":
+    def from_matrix(cls, m) -> "Homography":
         a = np.asarray(m, dtype=np.float64)
         if a.shape != (3, 3):
             raise ParameterError(f"homography must be 3x3, got {a.shape}")
@@ -33,37 +32,13 @@ class Homography:
         a = a / a[2, 2]
         if abs(np.linalg.det(a)) <= 1e-12:
             raise DegeneracyError("homography is singular after normalization")
-        return cls(matrix=a, max_residual=max_residual)
-
-    @classmethod
-    def identity(cls) -> "Homography":
-        return cls(matrix=np.eye(3))
-
-    def inverse(self) -> "Homography":
-        return Homography.from_matrix(np.linalg.inv(self.matrix))
+        return cls(matrix=a)
 
 
 @dataclass(frozen=True)
 class PointCorrespondence:
     image: tuple[float, float]  # pixels in the raw frame
     world: tuple[float, float]  # mm on the build plate, center = (0, 0)
-
-
-@dataclass(frozen=True)
-class PixelGridFrame:
-    """Registration of the corrected pixel grid to the plate."""
-
-    pitch_um: float
-    origin_px: tuple[int, int]  # pixel coordinates of the plate center
-    dims: tuple[int, int]  # (width, height) in pixels
-
-    def __post_init__(self):
-        if self.pitch_um <= 0:
-            raise ParameterError("pitch must be positive")
-        x, y = self.origin_px
-        w, h = self.dims
-        if not (0 <= x < w and 0 <= y < h):
-            raise ParameterError("origin pixel outside frame dims")
 
 
 def _normalization(points: np.ndarray) -> np.ndarray:
@@ -81,9 +56,10 @@ def _normalization(points: np.ndarray) -> np.ndarray:
 def estimate_homography(correspondences) -> Homography:
     """Estimate the image-to-world homography from >= 4 correspondences.
 
-    Exactly 4 points: solves the 8x8 linear system. More: least squares on
-    the normalized DLT system. The result carries the max reprojection
-    residual over the inputs (world units).
+    One normalized direct linear transform for every point count (Hartley &
+    Zisserman, ch. 4): exact for four points in general position, least
+    squares for more. The result carries the max reprojection residual over
+    the inputs (world units).
     """
     corr = list(correspondences)
     if len(corr) < 4:
@@ -93,33 +69,19 @@ def estimate_homography(correspondences) -> Homography:
     if not (np.isfinite(src).all() and np.isfinite(dst).all()):
         raise ParameterError("non-finite coordinates in correspondences")
 
-    if len(corr) == 4:
-        a = np.zeros((8, 8))
-        b = np.zeros(8)
-        for k, ((x, y), (xp, yp)) in enumerate(zip(src, dst)):
-            a[2 * k] = [x, y, 1, 0, 0, 0, -xp * x, -xp * y]
-            a[2 * k + 1] = [0, 0, 0, x, y, 1, -yp * x, -yp * y]
-            b[2 * k] = xp
-            b[2 * k + 1] = yp
-        try:
-            h = np.linalg.solve(a, b)
-        except np.linalg.LinAlgError as e:
-            raise DegeneracyError(f"degenerate 4-point configuration: {e}") from e
-        m = np.append(h, 1.0).reshape(3, 3)
-    else:
-        ts = _normalization(src)
-        td = _normalization(dst)
-        sn = (ts @ np.c_[src, np.ones(len(src))].T).T
-        dn = (td @ np.c_[dst, np.ones(len(dst))].T).T
-        rows = []
-        for (x, y, _), (xp, yp, _) in zip(sn, dn):
-            rows.append([x, y, 1, 0, 0, 0, -xp * x, -xp * y, -xp])
-            rows.append([0, 0, 0, x, y, 1, -yp * x, -yp * y, -yp])
-        a = np.asarray(rows)
-        _, s, vt = np.linalg.svd(a)
-        if s[-2] < 1e-10 * s[0]:
-            raise DegeneracyError("rank-deficient DLT system")
-        m = np.linalg.inv(td) @ vt[-1].reshape(3, 3) @ ts
+    ts = _normalization(src)
+    td = _normalization(dst)
+    sn = (ts @ np.c_[src, np.ones(len(src))].T).T
+    dn = (td @ np.c_[dst, np.ones(len(dst))].T).T
+    rows = []
+    for (x, y, _), (xp, yp, _) in zip(sn, dn):
+        rows.append([x, y, 1, 0, 0, 0, -xp * x, -xp * y, -xp])
+        rows.append([0, 0, 0, x, y, 1, -yp * x, -yp * y, -yp])
+    _, s, vt = np.linalg.svd(np.asarray(rows))
+    # rank 8 fixes the 9 entries up to scale; four points give s only 8 values
+    if s[7] < 1e-10 * s[0]:
+        raise DegeneracyError("rank-deficient DLT system")
+    m = np.linalg.inv(td) @ vt[-1].reshape(3, 3) @ ts
 
     hom = Homography.from_matrix(m)
     proj = np.array([apply_homography(p, hom) for p in src])
@@ -138,51 +100,6 @@ def apply_homography(p, h: Homography) -> tuple[float, float]:
         (m[0, 0] * x + m[0, 1] * y + m[0, 2]) / w,
         (m[1, 0] * x + m[1, 1] * y + m[1, 2]) / w,
     )
-
-
-@dataclass
-class WarpedFrame:
-    values: np.ndarray  # NaN where no source coverage
-    valid: np.ndarray
-
-
-def warp_frame(frame, h: Homography, out_dims: tuple[int, int]) -> WarpedFrame:
-    """Inverse-mapped bilinear resampling of a frame through h.
-
-    Each output pixel (x, y) samples the input at h^-1 (x, y). out_dims is
-    (width, height). Out-of-source samples are NaN with valid=False.
-    """
-    a = np.asarray(frame, dtype=np.float64)
-    if a.ndim != 2:
-        raise ParameterError(f"expected 2D frame, got shape {a.shape}")
-    w_out, h_out = out_dims
-    hi, wi = a.shape
-    inv = np.linalg.inv(h.matrix)
-
-    xs, ys = np.meshgrid(np.arange(w_out, dtype=np.float64), np.arange(h_out, dtype=np.float64))
-    denom = inv[2, 0] * xs + inv[2, 1] * ys + inv[2, 2]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sx = (inv[0, 0] * xs + inv[0, 1] * ys + inv[0, 2]) / denom
-        sy = (inv[1, 0] * xs + inv[1, 1] * ys + inv[1, 2]) / denom
-    finite = np.isfinite(sx) & np.isfinite(sy) & (np.abs(denom) > 1e-12)
-    inside = finite & (sx >= 0) & (sx <= wi - 1) & (sy >= 0) & (sy <= hi - 1)
-
-    sx_c = np.clip(np.where(inside, sx, 0.0), 0, wi - 1)
-    sy_c = np.clip(np.where(inside, sy, 0.0), 0, hi - 1)
-    x0 = np.floor(sx_c).astype(np.int64)
-    y0 = np.floor(sy_c).astype(np.int64)
-    x1 = np.minimum(x0 + 1, wi - 1)
-    y1 = np.minimum(y0 + 1, hi - 1)
-    fx = sx_c - x0
-    fy = sy_c - y0
-    values = (
-        a[y0, x0] * (1 - fx) * (1 - fy)
-        + a[y0, x1] * fx * (1 - fy)
-        + a[y1, x0] * (1 - fx) * fy
-        + a[y1, x1] * fx * fy
-    )
-    values = np.where(inside, values, FILL_VALUE)
-    return WarpedFrame(values=values, valid=inside)
 
 
 def parse_correspondences(text: str) -> list[PointCorrespondence]:

@@ -6,10 +6,12 @@ IRVX layout (little-endian):
   block count u32, then per block: layer u32, feature_id u8, entry count u32,
   entries (voxel linear index u32, value f32) interleaved.
 
-Entry indices are strictly increasing within a block and every
-(layer, feature_id) pair appears at most once; a store that breaks either
-rule, or holds a part name that is not UTF-8, is corrupt. Reads are bounded
-by the actual byte count, so corrupt headers cannot trigger huge allocations.
+Entry indices are strictly increasing within a block and lie in its
+layer's plane, [nx*ny*layer, nx*ny*(layer+1)), and every (layer, feature_id)
+pair appears at most once. A store that breaks any of these rules, or holds
+a part name that is not UTF-8, is corrupt (`StoreCorruptionError`, exit 3).
+Reads are bounded by the actual byte count, so corrupt headers cannot
+trigger huge allocations.
 """
 
 from __future__ import annotations
@@ -58,6 +60,10 @@ class FeatureStore:
             raise ParameterError(
                 f"entry indices must be strictly increasing in block {key}"
             )
+        nx, ny, _ = self.meta.dims
+        lo, hi = nx * ny * key[0], nx * ny * (key[0] + 1)
+        if len(idx) and not (lo <= int(idx[0]) and int(idx[-1]) < hi):  # the ends bound the rest
+            raise ParameterError(f"entry indices of block {key} must lie in its layer's plane [{lo}, {hi})")
         self.blocks[key] = SparseFeature(
             indices=idx, values=np.asarray(sparse.values, dtype=np.float32)
         )
@@ -137,7 +143,7 @@ def read_store(data: bytes) -> FeatureStore:
         sparse = SparseFeature(indices=packed["index"].copy(), values=packed["value"].copy())
         try:
             store.add(layer, fid, sparse)
-        except ParameterError as exc:  # a repeated block, or indices out of order
+        except ParameterError as exc:  # a repeated block, or indices out of order or plane
             raise StoreCorruptionError(
                 f"block at byte {start}: {exc}", offset=start, layer=layer, feature_id=fid
             ) from exc

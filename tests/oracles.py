@@ -297,8 +297,8 @@ def true_temperatures(path, thermal, events, amb, window, seen, n, fps, prescan_
 
 
 def first_visit_frames(path, dims, fps: float = 30.0, prescan_frames: int = 3) -> np.ndarray:
-    """`simulator.first_visit_frames`, writing samples in reverse so the
-    earliest visit is written last."""
+    """Frame index of each pixel's first laser visit, -1 where never visited,
+    writing samples in reverse so the earliest visit is written last."""
     w, h = dims
     first = np.full((h, w), UNSCANNED, dtype=np.int64)
     ix, iy = path.pixels()
@@ -680,7 +680,7 @@ def render_frames(
         noise = rng.normal(0.0, sigma, seen.shape) if noise_percent > 0 else 0.0
         frames[k] = np.clip(np.round(counts[k] + noise), 0, 65535).astype("<u2")
     stack = LayerStack(frames=frames, fps=fps, layer=layer, origin=origin)
-    return stack, GroundTruth(scan_order, eps, list(spatters.events), origin, dims, profile.emissivity_powder)
+    return stack, GroundTruth(scan_order, eps, list(spatters.events), origin, dims)
 
 
 def make_spatter_schedule(
@@ -692,7 +692,7 @@ def make_spatter_schedule(
     if count > 0 and not len(path):
         raise ParameterError(f"layer {mask.layer}: the scan path is empty, so no spatter event can be placed")
     w, h = mask.registration.dims
-    first = simulator.first_visit_frames(path, (w, h), fps, prescan_frames)
+    first = first_visit_frames(path, (w, h), fps, prescan_frames)
     fr = prescan_frames + np.floor(path.t_s * fps).astype(np.int64)
     last_frame = int(fr.max()) if len(fr) else prescan_frames
     rng = np.random.default_rng(seed)

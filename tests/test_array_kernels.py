@@ -98,13 +98,13 @@ def _meshes():
     open_box = TriangleMesh(vertices=box.vertices[:-2], normals=box.normals[:-2])
     return {
         "box": (box, None, None),
-        "translated box": (box.translated((0.36, 0.11, 0.013)), (0.0, 0.0, 0.0), (14, 14, 14)),
+        "translated box": (TriangleMesh(box.vertices + (0.36, 0.11, 0.013), box.normals), (0.0, 0.0, 0.0), (14, 14, 14)),
         "sphere": (sphere_mesh(1.8, (2.0, 2.0, 2.0)), None, None),
         "small sphere": (sphere_mesh(1.0, (1.2, 1.2, 1.2), n_theta=24, n_phi=12), None, None),
         "open box": (open_box, None, None),
         "on-ray tetrahedron": (_on_ray_tetrahedron(), (0.0, 0.0, 0.0), (10, 10, 10)),
         # its y = 0.18 face is edge-on and lies on a row of voxel-center rays
-        "on-ray box": (box.translated((0.0, 0.18, 0.0)), (0.0, 0.0, 0.0), (12, 12, 12)),
+        "on-ray box": (TriangleMesh(box.vertices + (0.0, 0.18, 0.0), box.normals), (0.0, 0.0, 0.0), (12, 12, 12)),
     }
 
 

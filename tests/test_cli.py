@@ -52,7 +52,7 @@ profile = cal.profile
 
 [geometry]
 stl = part.stl
-pitch_um = 300,310,30
+pitch_um = 300,300,30
 
 [camera]
 width = 320
@@ -99,7 +99,7 @@ FULL_CONFIG_FIELDS = {
     "profile_path": "cal.profile",
     "stl": "part.stl",
     "pitch_x_um": 300.0,
-    "pitch_y_um": 310.0,
+    "pitch_y_um": 300.0,
     "pitch_z_um": 30.0,
     "cam_width": 320,
     "cam_height": 200,
@@ -176,6 +176,7 @@ class TestExitCodes:
             ),
             ([], ("360,360,40", "0,360,40"), "geometry.pitch_um"),
             ([], ("360,360,40", "360,nan,40"), "geometry.pitch_um"),
+            ([], ("360,360,40", "360,370,40"), "[geometry] pitch_um x and y must be equal"),
             ([], ("fps = 30", "fps = 0"), "fps must be a positive number"),
             ([], ("origin_x = 32", "origin_x = 64"), "origin pixel outside frame dims"),
             ([], ("[camera]", "[scan]\nhatch_um = 0\n[camera]"), "hatch_um must be positive"),
@@ -194,6 +195,7 @@ class TestExitCodes:
             "key",
             "pitch-zero",
             "pitch-nan",
+            "pitch-x-not-y",
             "fps-zero",
             "origin-outside-frame",
             "hatch-zero",

@@ -23,7 +23,7 @@ from irmap.features import (
     melt_pool_area,
     melt_threshold,
 )
-from irmap.geometry import box_mesh, layer_mask, map_layer_feature, voxelize
+from irmap.geometry import PixelGridFrame, box_mesh, layer_mask, map_layer_feature, voxelize
 from irmap.radiometry import (
     background_counts,
     forward_counts,
@@ -31,7 +31,6 @@ from irmap.radiometry import (
     invert_counts_array,
 )
 from irmap.simulator import ScanParameters, ThermalParams, generate_scan_path, render_frames
-from irmap.spatial import PixelGridFrame
 from irmap.store import read_layer_stack, write_layer_stack
 
 

@@ -5,6 +5,8 @@ import pytest
 
 from irmap.errors import OutOfFrameError, ParameterError, StlParseError, StlTruncationError
 from irmap.geometry import (
+    PixelGridFrame,
+    TriangleMesh,
     box_mesh,
     layer_mask,
     map_layer_feature,
@@ -12,7 +14,6 @@ from irmap.geometry import (
     parse_stl,
     voxelize,
 )
-from irmap.spatial import PixelGridFrame
 
 ASCII_ONE_FACET = """\
 solid one
@@ -97,7 +98,7 @@ class TestVoxelize:
         base = box_mesh((3.6, 3.6, 0.4))
         vox0 = voxelize(base, (360.0, 360.0, 40.0), origin_mm=(0.0, 0.0, 0.0))
         vox1 = voxelize(
-            base.translated((0.36, 0.0, 0.0)),
+            TriangleMesh(base.vertices + (0.36, 0.0, 0.0), base.normals),
             (360.0, 360.0, 40.0),
             origin_mm=(0.0, 0.0, 0.0),
         )

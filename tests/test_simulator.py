@@ -5,7 +5,7 @@ import oracles
 from irmap import simulator
 from irmap.errors import ParameterError
 from irmap.features import WINDOW_PAD
-from irmap.geometry import box_mesh, layer_mask, voxelize
+from irmap.geometry import PixelGridFrame, box_mesh, layer_mask, voxelize
 from irmap.radiometry import forward_counts
 from irmap.simulator import (
     ScanParameters,
@@ -13,12 +13,10 @@ from irmap.simulator import (
     SpatterEvent,
     SpatterSchedule,
     ThermalParams,
-    first_visit_frames,
     generate_scan_path,
     make_spatter_schedule,
     render_frames,
 )
-from irmap.spatial import PixelGridFrame
 from irmap.store import quantize_counts
 
 
@@ -146,7 +144,10 @@ class TestRender:
         assert part.origin == (3, 11)
         assert np.array_equal(part.frames, whole.frames[:, rows, cols])
         assert np.array_equal(part_truth.true_scan_order, whole_truth.true_scan_order)
-        assert np.array_equal(part_truth.emissivity_map, whole_truth.emissivity_map)
+        assert np.array_equal(part_truth.emissivity, whole_truth.emissivity[rows, cols])
+        outside = np.ones((48, 64), dtype=bool)
+        outside[rows, cols] = False
+        assert (whole_truth.emissivity[outside] == profile.emissivity_powder).all()
 
     def test_emissivity_flips_after_scan(self, profile):
         mask = small_mask()
@@ -154,8 +155,9 @@ class TestRender:
         stack, truth = render_frames(path, (64, 48), ThermalParams(), profile)
         dense = mask.pixel_mask()
         # by the final (tail) frame the whole part has been scanned over
-        assert (truth.emissivity_map[dense] == profile.emissivity_printed).all()
-        assert (truth.emissivity_map[~dense] == profile.emissivity_powder).all()
+        assert truth.emissivity.shape == dense.shape  # a whole-frame render's window is the frame
+        assert (truth.emissivity[dense] == profile.emissivity_printed).all()
+        assert (truth.emissivity[~dense] == profile.emissivity_powder).all()
 
 
 class TestSpatterSchedule:
@@ -196,7 +198,7 @@ class TestSpatterSchedule:
         path = generate_scan_path(mask, ScanParameters(), 0)
         sched = make_spatter_schedule(path, mask, 3, seed=5, min_lead_frames=5, clearance_px=4.0)
         assert len(sched.events) == 3
-        first = first_visit_frames(path, (64, 48))
+        first = oracles.first_visit_frames(path, (64, 48))
         for ev in sched.events:
             x, y = ev.landing_px
             assert first[y, x] >= ev.emit_frame + 5
@@ -272,14 +274,7 @@ class TestRenderOracle:
         assert truth.dtype == np.float32 and truth.tobytes() == want_truth.tobytes()
         assert stack.frames.tobytes() == want_stack.frames.tobytes()
         assert gt.true_scan_order.tobytes() == want_gt.true_scan_order.tobytes()
-        assert gt.emissivity_map.tobytes() == want_gt.emissivity_map.tobytes()
-
-    def test_first_visit_matches_reverse_loop(self):
-        path = generate_scan_path(small_mask(size_mm=7.2), ScanParameters(), 2)
-        ix, iy = path.pixels()
-        assert len(np.unique(iy * 64 + ix)) < len(path)  # pixels are revisited
-        want = oracles.first_visit_frames(path, (64, 48))
-        assert first_visit_frames(path, (64, 48)).tobytes() == want.tobytes()
+        assert gt.origin == want_gt.origin and gt.emissivity.tobytes() == want_gt.emissivity.tobytes()
 
 
 @pytest.fixture(scope="module")

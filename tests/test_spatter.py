@@ -22,7 +22,7 @@ from irmap.features import (
     spatter_frame_filter,
     spatter_layer,
 )
-from irmap.geometry import box_mesh, layer_mask, voxelize
+from irmap.geometry import PixelGridFrame, box_mesh, layer_mask, voxelize
 from irmap.radiometry import forward_counts
 from irmap.simulator import (
     SPATTER_SIGMA_PX,
@@ -32,7 +32,6 @@ from irmap.simulator import (
     make_spatter_schedule,
     render_frames,
 )
-from irmap.spatial import PixelGridFrame
 
 
 def assert_same_spatter(stack, order, profile):

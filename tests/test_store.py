@@ -78,6 +78,7 @@ MALFORMED_STORES = {
     "part-name-not-utf8": (_store_bytes(part=b"\xffart"), "not UTF-8"),
     "repeated-block": (_store_bytes(blocks=((0, 1, (1,)), (0, 1, (2,)))), "already present"),
     "decreasing-indices": (_store_bytes(blocks=((0, 1, (3, 1)),)), "strictly increasing"),
+    "indices-outside-the-layer": (_store_bytes(blocks=((0, 1, (3, 16)),)), "in its layer's plane"),
 }
 
 
@@ -128,6 +129,17 @@ class TestRoundTrip:
         sp = SparseFeature(np.array([3, 1], np.uint32), np.zeros(2, np.float32))
         with pytest.raises(ParameterError):
             fs.add(0, 0, sp)
+
+
+    @pytest.mark.parametrize("indices", [[0], [24, 36]], ids=["below", "above"])
+    def test_indices_outside_the_layer_rejected(self, indices):
+        fs = FeatureStore(StoreMeta(pitch_um=(360.0, 360.0, 40.0), dims=(4, 3, 3)))
+        sp = SparseFeature(np.array(indices, np.uint32), np.full(len(indices), 5.0, np.float32))
+        with pytest.raises(ParameterError, match=r"layer's plane \[24, 36\)"):
+            fs.add(2, 0, sp)
+        fs.blocks[(2, 0)] = sp  # the block `add` refused, written as it stands
+        with pytest.raises(StoreCorruptionError, match=r"layer's plane \[24, 36\)"):
+            read_store(write_store(fs))
 
 
 class TestCorruption:
