@@ -12,6 +12,7 @@ import argparse
 import configparser
 import hashlib
 import os
+import resource
 import sys
 import time
 from dataclasses import dataclass, field, fields
@@ -233,6 +234,7 @@ class LayerResult:
     mask: geometry.LayerMask
     seconds: float = 0.0
     stage_seconds: dict[str, float] = field(default_factory=dict)  # by function name
+    peak_rss_mb: float = 0.0  # of the process that ran the layer, when it ended
 
 
 @dataclass
@@ -292,19 +294,16 @@ def _load_layer(cfg: RunConfig, vox: geometry.VoxelMesh, layer: int):
     reg = cfg.registration()
     mask = geometry.layer_mask(vox, layer, reg)
     path = _stack_path(cfg, layer)
+    rows, cols = mask.window(feat.WINDOW_PAD)
     try:
-        frames, fps = store.read_layer_stack(path)
+        frames, fps = store.read_layer_stack(
+            path, window=(rows, cols), frame_dims=(cfg.cam_width, cfg.cam_height)
+        )
     except OSError as exc:
         raise ConfigError(f"layer {layer}: cannot read frame stack {path}: {exc.strerror}") from exc
     except StoreFormatError as exc:
         raise StoreFormatError(f"layer {layer}: {path}: {exc}") from exc
-    if frames.shape[1:] != (cfg.cam_height, cfg.cam_width):
-        raise StoreFormatError(
-            f"layer {layer}: {path}: frames are {frames.shape[2]}x{frames.shape[1]} px, "
-            f"[camera] is {cfg.cam_width}x{cfg.cam_height}"
-        )
-    rows, cols = mask.window(feat.WINDOW_PAD)
-    stack = feat.LayerStack(np.array(frames[:, rows, cols]), fps, layer, (rows.start, cols.start))
+    stack = feat.LayerStack(frames, fps, layer, (rows.start, cols.start))
     return stack, None, mask
 
 
@@ -330,6 +329,7 @@ def process_layer(cfg: RunConfig, vox: geometry.VoxelMesh, layer: int) -> LayerR
         mask=mask,
         seconds=t2 - t0,
         stage_seconds={source: t1 - t0, "features.extract_layer": t2 - t1},
+        peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,  # KiB on Linux
     )
 
 
@@ -428,6 +428,7 @@ def run_pipeline(cfg: RunConfig, write_files: bool = True) -> PipelineResult:
         timing = [
             f"layer {r.layer}: {r.seconds:.3f} s"
             + "".join(f"; {name}: {s:.3f} s" for name, s in r.stage_seconds.items())
+            + f"; peak_rss_mb: {r.peak_rss_mb:.1f}"
             for r in results
         ]
         with open(out + ".timings.txt", "w", encoding="utf-8") as fh:

@@ -205,15 +205,32 @@ def max_predeposition(
     Inversion increases with counts, so this is the inverse of the running
     maximum count. `_to_temperature` pins below-floor counts to the reflected
     temperature, so it is raised to that where the running minimum count
-    reached the floor."""
+    reached the floor. Both running extremes are carried across chunks of
+    CHUNK_FRAMES frames, each gathered only at the pixels whose target frame
+    it may still reach."""
     s = _scan_frames(scan_order)
     valid = s >= 0
     ys, xs = np.nonzero(valid)
     target = np.maximum(s[ys, xs] - offset, 0)
-    counts = stack.frames[: target.max(initial=0) + 1, ys, xs]  # (frames, pixels)
-    at = (target, np.arange(len(target)))
-    high = np.maximum.accumulate(counts)[at]
-    low = np.minimum.accumulate(counts)[at]
+    order = np.argsort(target, kind="stable")  # pixels leave the gather in target order
+    ordered = target[order]
+    pixels = (ys * stack.shape[1] + xs)[order]
+    frames = stack.frames.reshape(len(stack), -1)
+    high, low = np.empty(len(order), frames.dtype), np.empty(len(order), frames.dtype)
+    end = int(ordered[-1]) + 1 if len(order) else 0
+    done = 0  # pixels whose target frame lies before the chunk
+    for start in range(0, end, imageops.CHUNK_FRAMES):
+        stop = min(start + imageops.CHUNK_FRAMES, end)
+        left = np.searchsorted(ordered, start)
+        counts = frames[start:stop, pixels[left:]]  # (chunk frames, pixels still open)
+        hi, lo = np.maximum.accumulate(counts), np.minimum.accumulate(counts)
+        if start:
+            np.maximum(hi, carry_hi[left - done :], out=hi)
+            np.minimum(lo, carry_lo[left - done :], out=lo)
+        right = np.searchsorted(ordered, stop)
+        at = (ordered[left:right] - start, np.arange(right - left))
+        high[order[left:right]], low[order[left:right]] = hi[at], lo[at]
+        carry_hi, carry_lo, done = hi[-1], lo[-1], left
     eps = profile.emissivity_powder
     temp, _ = _to_temperature(high, eps, profile)
     pinned = np.maximum(temp, profile.reflected_temperature_c)
@@ -379,21 +396,29 @@ def melt_pool_area(
     s = _scan_frames(scan_order)
     grid = np.full(stack.shape, np.nan)
     valid = s >= 0
-    frames = np.unique(s[valid])
-    if len(frames):
-        hot = imageops.label_components((stack.frames > thr)[frames], 8)
+    ys, xs = np.nonzero(valid)
+    frames, at = np.unique(s[ys, xs], return_inverse=True)
+    area = np.empty(len(frames))
+    # the unique scan frames' planes, CHUNK_FRAMES at a time: each plane is
+    # labelled as on its own, so the chunks give the same areas
+    for c0 in range(0, len(frames), imageops.CHUNK_FRAMES):
+        planes = frames[c0 : c0 + imageops.CHUNK_FRAMES]
+        hot = imageops.label_components(stack.frames[planes] > thr, 8)
         # number every plane's clusters on from the previous plane's, so one
         # bincount sizes them all
         first = np.concatenate(([0], np.cumsum(hot.count)[:-1]))
         plane, rows, cols = np.nonzero(hot.labels)
         sizes = np.bincount(hot.labels[plane, rows, cols] + first[plane])
         # the distinct clusters under each frame's laser pixels
-        at = np.searchsorted(frames, s[valid])
-        lbl = hot.labels[(at,) + np.nonzero(valid)]
-        pools = np.unique((lbl + first[at])[lbl > 0])
+        sel = (at >= c0) & (at < c0 + len(planes))
+        lit = at[sel] - c0
+        lbl = hot.labels[lit, ys[sel], xs[sel]]
+        pools = np.unique((lbl + first[lit])[lbl > 0])
         plane_of_pool = np.searchsorted(first, pools) - 1  # last plane numbered below
-        area = np.bincount(plane_of_pool, weights=sizes[pools], minlength=len(frames))
-        grid[valid] = area[at]
+        area[c0 : c0 + len(planes)] = np.bincount(
+            plane_of_pool, weights=sizes[pools], minlength=len(planes)
+        )
+    grid[valid] = area[at]
     return FeatureMap(
         feature_id=FeatureId.MELT_POOL_AREA, layer=stack.layer, grid=grid, validity=valid
     )

@@ -17,6 +17,9 @@ import numpy as np
 from .errors import DegenerateHistogramError, ParameterError
 
 OTSU_BINS = 256
+# frames per pass of a whole-stack reduction: its temporaries are this many
+# frames deep, not as deep as the stack
+CHUNK_FRAMES = 16
 
 
 def _as_grid(img) -> np.ndarray:
@@ -240,13 +243,28 @@ def label_components(binary, connectivity: int = 4) -> LabelGrid:
 
 def fold_max_argmax(frames) -> tuple[np.ndarray, np.ndarray]:
     """Per-pixel float64 maximum of a (n, h, w) stack and the first frame
-    that reaches it: ties keep the earlier frame."""
+    that reaches it: ties keep the earlier frame.
+
+    Taken over CHUNK_FRAMES frames at a time: a later chunk replaces the
+    running maximum only where it is strictly greater, which keeps the tie
+    rule, and only those pixels need the chunk's argmax."""
     f = np.asarray(frames)
     if f.ndim != 3 or 0 in f.shape:
         raise ParameterError(f"expected a (frames, h, w) stack, got shape {f.shape}")
-    if f.dtype.kind not in "biu" and not np.isfinite(f).all():
-        raise ParameterError("stack contains non-finite values")
-    return f.max(axis=0).astype(np.float64), f.argmax(axis=0)
+    peak = frame = None
+    for start in range(0, len(f), CHUNK_FRAMES):
+        chunk = f[start : start + CHUNK_FRAMES]
+        if f.dtype.kind not in "biu" and not np.isfinite(chunk).all():
+            raise ParameterError("stack contains non-finite values")
+        top = chunk.max(axis=0)
+        if peak is None:
+            peak, frame = top, chunk.argmax(axis=0)
+            continue
+        better = np.flatnonzero(top > peak)
+        if len(better):
+            peak.flat[better] = top.flat[better]
+            frame.flat[better] = chunk.reshape(len(chunk), -1)[:, better].argmax(axis=0) + start
+    return peak.astype(np.float64), frame
 
 
 def dilate_disk(binary: np.ndarray, radius: int) -> np.ndarray:

@@ -6,10 +6,11 @@ IRVX layout (little-endian):
   block count u32, then per block: layer u32, feature_id u8, entry count u32,
   entries (voxel linear index u32, value f32) interleaved.
 
-Entry indices are strictly increasing within a block and lie in its
-layer's plane, [nx*ny*layer, nx*ny*(layer+1)), and every (layer, feature_id)
-pair appears at most once. A store that breaks any of these rules, or holds
-a part name that is not UTF-8, is corrupt (`StoreCorruptionError`, exit 3).
+A block's layer lies in the grid, 0 <= layer < nz; its entry indices are
+strictly increasing and lie in its layer's plane, [nx*ny*layer,
+nx*ny*(layer+1)); and every (layer, feature_id) pair appears at most once.
+A store that breaks any of these rules, or holds a part name that is not
+UTF-8, is corrupt (`StoreCorruptionError`, exit 3).
 Reads are bounded by the actual byte count, so corrupt headers cannot
 trigger huge allocations.
 """
@@ -60,7 +61,9 @@ class FeatureStore:
             raise ParameterError(
                 f"entry indices must be strictly increasing in block {key}"
             )
-        nx, ny, _ = self.meta.dims
+        nx, ny, nz = self.meta.dims
+        if not 0 <= key[0] < nz:
+            raise ParameterError(f"layer of block {key} is outside the grid's {nz} layers")
         lo, hi = nx * ny * key[0], nx * ny * (key[0] + 1)
         if len(idx) and not (lo <= int(idx[0]) and int(idx[-1]) < hi):  # the ends bound the rest
             raise ParameterError(f"entry indices of block {key} must lie in its layer's plane [{lo}, {hi})")
@@ -143,7 +146,7 @@ def read_store(data: bytes) -> FeatureStore:
         sparse = SparseFeature(indices=packed["index"].copy(), values=packed["value"].copy())
         try:
             store.add(layer, fid, sparse)
-        except ParameterError as exc:  # a repeated block, or indices out of order or plane
+        except ParameterError as exc:  # a repeated block, a layer off the grid, or indices out of order or plane
             raise StoreCorruptionError(
                 f"block at byte {start}: {exc}", offset=start, layer=layer, feature_id=fid
             ) from exc
@@ -287,32 +290,55 @@ def write_layer_stack(path, frames, fps: float = 30.0) -> None:
         f.write(STACK_MAGIC + struct.pack("<IIIIfI", STACK_VERSION, *shape[::-1], n, fps, 0))
 
 
-def read_layer_stack(path):
-    """Map a layer stack file; returns (frames u16, fps).
+def read_layer_stack(path, window=None, frame_dims=None):
+    """Read a layer stack file; returns (frames u16, fps).
 
-    The frames are a read-only memory map, so a caller that keeps a window of
-    them reads only the file pages under it.
+    `window` (rows, cols; default the whole frame) selects the pixels kept:
+    each frame's window rows are read at full width into one reused buffer
+    and the window's columns copied out, so a caller that keeps the part
+    window holds that window and one row band per frame, never the file.
+    `frame_dims`, when given, is the (width, height) the file's frames must
+    have.
     """
-    with open(path, "rb") as f:
+    with open(path, "rb", buffering=0) as f:
         header = f.read(28)
         size = os.fstat(f.fileno()).st_size
-    if header[:4] != STACK_MAGIC:
-        raise StoreFormatError(f"bad stack magic {header[:4]!r}")
-    if size < 28:
-        raise StoreCorruptionError(
-            f"stack header truncated: {size} bytes, expected 28", offset=size
-        )
-    version, w, h, n, fps = struct.unpack_from("<IIIIf", header, 4)
-    if version != STACK_VERSION:
-        raise StoreFormatError(f"unsupported stack version {version}")
-    if n < 1:
-        raise StoreFormatError(f"stack declares {n} frames, need at least 1")
-    if not 0.0 < fps < np.inf:
-        raise StoreFormatError(f"stack frame rate {fps} is not a positive number")
-    expected = 28 + n * h * w * 2
-    if size < expected:
-        raise StoreCorruptionError(
-            f"stack truncated: {size} bytes, expected {expected}", offset=size
-        )
-    frames = np.memmap(path, dtype="<u2", mode="r", offset=28, shape=(n, h, w))
+        if header[:4] != STACK_MAGIC:
+            raise StoreFormatError(f"bad stack magic {header[:4]!r}")
+        if size < 28:
+            raise StoreCorruptionError(
+                f"stack header truncated: {size} bytes, expected 28", offset=size
+            )
+        version, w, h, n, fps = struct.unpack_from("<IIIIf", header, 4)
+        if version != STACK_VERSION:
+            raise StoreFormatError(f"unsupported stack version {version}")
+        if n < 1:
+            raise StoreFormatError(f"stack declares {n} frames, need at least 1")
+        if not 0.0 < fps < np.inf:
+            raise StoreFormatError(f"stack frame rate {fps} is not a positive number")
+        if frame_dims is not None and (w, h) != tuple(frame_dims):
+            raise StoreFormatError(
+                f"frames are {w}x{h} px, expected {frame_dims[0]}x{frame_dims[1]}"
+            )
+        expected = 28 + n * h * w * 2
+        if size < expected:
+            raise StoreCorruptionError(
+                f"stack truncated: {size} bytes, expected {expected}", offset=size
+            )
+        rows, cols = window or (slice(0, h), slice(0, w))
+        if not (0 <= rows.start < rows.stop <= h and 0 <= cols.start < cols.stop <= w):
+            raise ParameterError(f"window {rows}, {cols} is not inside the {w}x{h} px frames")
+        band = np.empty((rows.stop - rows.start, w), dtype="<u2")
+        frames = np.empty((n, rows.stop - rows.start, cols.stop - cols.start), dtype="<u2")
+        for t in range(n):
+            at = 28 + (t * h + rows.start) * w * 2
+            f.seek(at)
+            got = f.readinto(band)
+            if got != band.nbytes:  # the file shrank after the size check
+                raise StoreCorruptionError(
+                    f"stack truncated: frame {t} ends at byte {at + got}, expected "
+                    f"{at + band.nbytes}",
+                    offset=at + got,
+                )
+            frames[t] = band[:, cols]
     return frames, float(fps)

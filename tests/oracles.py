@@ -12,6 +12,9 @@ line at a time, its counts and noise one frame at a time, and its spatter
 candidates from a whole camera frame; the radiance model and the count
 conversion are one expression each, and the disk dilation ORs in every offset
 of the footprint. The CSV and VTK exports format one stored value at a time.
+The heat-intensity fold, the maximum pre-deposition and the melt-pool area
+are also kept as the whole-stack reductions that their chunked versions
+replaced (`*_whole`).
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from irmap.errors import (
     NoPrescanError,
     ParameterError,
 )
-from irmap import imageops, simulator
+from irmap import imageops, radiometry, simulator
 from irmap.features import (
     INTERPASS_FRAME_CAP,
     SPATTER_BLOB_SIGMA,
@@ -43,6 +46,7 @@ from irmap.features import (
     _scan_frames,
     _to_temperature,
     activity_threshold,
+    melt_threshold,
 )
 from irmap.imageops import (
     OTSU_BINS,
@@ -540,6 +544,58 @@ def max_predeposition(stack, scan_order, profile, offset: int = 10):
         running = np.maximum(running, values)
         grid[valid & (target == t)] = running[part_target == t]
     return FeatureMap(FeatureId.MAX_PREDEPOSITION, stack.layer, grid, valid)
+
+
+# The whole-stack versions that the chunked reductions replaced: each holds
+# a temporary about as large as the stack.
+
+
+def fold_max_argmax_whole(frames):
+    """`imageops.fold_max_argmax` as one max and one argmax along axis 0."""
+    f = np.asarray(frames)
+    return f.max(axis=0).astype(np.float64), f.argmax(axis=0)
+
+
+def max_predeposition_whole(stack, scan_order, profile, offset: int = 10):
+    """`features.max_predeposition` from one (frames, pixels) gather and its
+    running maximum and minimum along the frames."""
+    s = _scan_frames(scan_order)
+    valid = s >= 0
+    ys, xs = np.nonzero(valid)
+    target = np.maximum(s[ys, xs] - offset, 0)
+    counts = stack.frames[: target.max(initial=0) + 1, ys, xs]  # (frames, pixels)
+    at = (target, np.arange(len(target)))
+    high = np.maximum.accumulate(counts)[at]
+    low = np.minimum.accumulate(counts)[at]
+    eps = profile.emissivity_powder
+    temp, _ = _to_temperature(high, eps, profile)
+    pinned = np.maximum(temp, profile.reflected_temperature_c)
+    grid = np.full(stack.shape, np.nan)
+    floor = radiometry.background_counts(eps, profile)
+    grid[ys, xs] = np.where(low <= floor, pinned, temp)
+    return FeatureMap(FeatureId.MAX_PREDEPOSITION, stack.layer, grid, valid)
+
+
+def melt_pool_area_whole(stack, scan_order, profile):
+    """`features.melt_pool_area` thresholding the whole stack and labelling
+    every unique scan frame's plane in one call."""
+    thr = melt_threshold(profile)
+    s = _scan_frames(scan_order)
+    grid = np.full(stack.shape, np.nan)
+    valid = s >= 0
+    frames = np.unique(s[valid])
+    if len(frames):
+        hot = imageops.label_components((stack.frames > thr)[frames], 8)
+        first = np.concatenate(([0], np.cumsum(hot.count)[:-1]))
+        plane, rows, cols = np.nonzero(hot.labels)
+        sizes = np.bincount(hot.labels[plane, rows, cols] + first[plane])
+        at = np.searchsorted(frames, s[valid])
+        lbl = hot.labels[(at,) + np.nonzero(valid)]
+        pools = np.unique((lbl + first[at])[lbl > 0])
+        plane_of_pool = np.searchsorted(first, pools) - 1
+        area = np.bincount(plane_of_pool, weights=sizes[pools], minlength=len(frames))
+        grid[valid] = area[at]
+    return FeatureMap(FeatureId.MELT_POOL_AREA, stack.layer, grid, valid)
 
 
 def dilate_disk(binary, radius: int) -> np.ndarray:

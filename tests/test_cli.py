@@ -1,4 +1,5 @@
 import re
+import resource
 import struct
 from dataclasses import fields
 
@@ -449,12 +450,15 @@ class TestPipeline:
         assert len(lines) == 2
         for layer, line in enumerate(lines):
             m = re.fullmatch(
-                rf"layer {layer}: (\S+) s; cli._simulate_layer: (\S+) s; features.extract_layer: (\S+) s",
+                rf"layer {layer}: (\S+) s; cli._simulate_layer: (\S+) s; features.extract_layer: (\S+) s"
+                r"; peak_rss_mb: (\d+\.\d)",
                 line,
             )
             assert m, line
-            total, source, extract = (float(v) for v in m.groups())
+            total, source, extract, peak_mb = (float(v) for v in m.groups())
             assert source > 0 and extract > 0 and source + extract <= total + 0.0015  # 3 rounded decimals
+            # this process ran the layer: its peak then is at most its peak now
+            assert 0 < peak_mb <= resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024 + 0.05
 
     def test_determinism(self, mini_build):
         cfg = str(mini_build / "mini.ini")

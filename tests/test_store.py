@@ -1,4 +1,6 @@
+import os
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -79,6 +81,10 @@ MALFORMED_STORES = {
     "repeated-block": (_store_bytes(blocks=((0, 1, (1,)), (0, 1, (2,)))), "already present"),
     "decreasing-indices": (_store_bytes(blocks=((0, 1, (3, 1)),)), "strictly increasing"),
     "indices-outside-the-layer": (_store_bytes(blocks=((0, 1, (3, 16)),)), "in its layer's plane"),
+    "layer-outside-the-grid": (
+        _store_bytes(blocks=((5, 1, (80, 81)),)),  # in layer 5's plane, above the 1-layer grid
+        "is outside the grid's 1 layers",
+    ),
 }
 
 
@@ -140,6 +146,17 @@ class TestRoundTrip:
         fs.blocks[(2, 0)] = sp  # the block `add` refused, written as it stands
         with pytest.raises(StoreCorruptionError, match=r"layer's plane \[24, 36\)"):
             read_store(write_store(fs))
+
+
+    def test_layer_outside_the_grid_rejected(self):
+        fs = FeatureStore(StoreMeta(pitch_um=(360.0, 360.0, 40.0), dims=(4, 4, 1)))
+        sp = SparseFeature(np.array([80, 81], np.uint32), np.ones(2, np.float32))
+        with pytest.raises(ParameterError, match=r"block \(5, 1\) is outside the grid's 1 layers"):
+            fs.add(5, 1, sp)
+        fs.blocks[(5, 1)] = sp  # the block `add` refused, written as it stands
+        with pytest.raises(StoreCorruptionError, match=r"\(5, 1\)") as e:
+            read_store(write_store(fs))
+        assert (e.value.layer, e.value.feature_id) == (5, 1)
 
 
 class TestCorruption:
@@ -282,11 +299,49 @@ class TestLayerStack:
         with pytest.raises(ParameterError):
             write_layer_stack(str(tmp_path / "layer_0000.irfs"), frames)
 
-    def test_frames_are_a_read_only_map(self, tmp_path):
+    def test_window_read_is_the_whole_frame_slice(self, tmp_path, rng):
+        path = tmp_path / "layer_0000.irfs"
+        for n in (1, 2, 9):
+            h, w = int(rng.integers(5, 12)), int(rng.integers(5, 12))
+            frames = rng.integers(0, 65536, size=(n, h, w)).astype("<u2")
+            write_layer_stack(str(path), frames)
+            whole, _ = read_layer_stack(str(path))
+            assert whole.dtype == np.dtype("<u2") and whole.tobytes() == frames.tobytes()
+            # every corner, every edge, the middle and the whole frame
+            spans = lambda size: [(0, 2), (1, size - 1), (size - 2, size), (0, size)]
+            for r0, r1 in spans(h):
+                for c0, c1 in spans(w):
+                    window = (slice(r0, r1), slice(c0, c1))
+                    part, _ = read_layer_stack(str(path), window)
+                    assert part.dtype == np.dtype("<u2") and part.shape == (n, r1 - r0, c1 - c0)
+                    assert part.tobytes() == frames[:, r0:r1, c0:c1].tobytes(), window
+            single, _ = read_layer_stack(str(path), (slice(h - 1, h), slice(w - 1, w)))
+            assert single.tobytes() == frames[:, -1:, -1:].tobytes()
+
+    def test_frame_dims_checked(self, tmp_path):
         path = tmp_path / "layer_0000.irfs"
         write_layer_stack(str(path), np.ones((2, 3, 4)))
-        frames, _ = read_layer_stack(str(path))
-        assert isinstance(frames, np.memmap) and not frames.flags.writeable
+        assert read_layer_stack(str(path), frame_dims=(4, 3))[0].shape == (2, 3, 4)
+        with pytest.raises(StoreFormatError, match="frames are 4x3 px, expected 3x4"):
+            read_layer_stack(str(path), frame_dims=(3, 4))
+
+    @pytest.mark.parametrize("window", [(slice(0, 4), slice(0, 4)), (slice(1, 1), slice(0, 4))])
+    def test_window_outside_the_frame_rejected(self, tmp_path, window):
+        path = tmp_path / "layer_0000.irfs"
+        write_layer_stack(str(path), np.ones((2, 3, 4)))
+        with pytest.raises(ParameterError, match="not inside the 4x3 px frames"):
+            read_layer_stack(str(path), window)
+
+    def test_file_cut_after_the_size_check_is_corrupt(self, tmp_path, monkeypatch):
+        path = tmp_path / "layer_0000.irfs"
+        write_layer_stack(str(path), np.ones((3, 3, 4)))
+        path.write_bytes(path.read_bytes()[:-30])  # 24-byte frames: frame 1 ends at byte 76
+        real_fstat = os.fstat
+        # the size check sees the whole file, as if it shrank right after
+        monkeypatch.setattr(os, "fstat", lambda fd: SimpleNamespace(st_size=real_fstat(fd).st_size + 30))
+        with pytest.raises(StoreCorruptionError, match="frame 1 ends at byte 70, expected 76") as e:
+            read_layer_stack(str(path))
+        assert e.value.offset == 70
 
     @pytest.mark.parametrize(
         "cut, error, message",
