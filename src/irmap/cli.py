@@ -23,7 +23,8 @@ import numpy as np
 from . import features as feat
 from . import geometry, radiometry, simulator, spatial, store
 from .errors import ConfigError, DataError, DegeneracyError, HorizonError, NoPrescanError
-from .errors import BelowFloorError, IllConditionedError, IrmapError, ParameterError, StoreFormatError
+from .errors import BelowFloorError, FeatureNotFoundError, IllConditionedError, IrmapError
+from .errors import ParameterError, StoreFormatError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -166,6 +167,8 @@ def _set(cfg: RunConfig, section: str, key: str, text: str) -> None:
     except ValueError as exc:
         raise ConfigError(f"bad value for {section}.{key}: {text!r} ({exc})") from exc
     for attr, value in values.items():
+        if isinstance(value, float) and not np.isfinite(value):
+            raise ConfigError(f"[{section}] {key} must be a finite number, got {text!r}")
         setattr(cfg, attr, value)
 
 
@@ -252,7 +255,7 @@ def _simulate_layer(cfg: RunConfig, vox: geometry.VoxelMesh, layer: int):
     reg = cfg.registration()
     mask = geometry.layer_mask(vox, layer, reg)
     path = simulator.generate_scan_path(mask, cfg.scan_params(), layer)
-    schedule = simulator.SpatterSchedule()
+    schedule = []
     if cfg.spatter_count > 0 and len(path):
         try:
             schedule = simulator.make_spatter_schedule(
@@ -333,10 +336,18 @@ def process_layer(cfg: RunConfig, vox: geometry.VoxelMesh, layer: int) -> LayerR
     )
 
 
+def _read_mesh(path: str) -> geometry.TriangleMesh:
+    """The mesh in STL file `path`; a malformed file's error names it."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return geometry.parse_stl(data)
+    except (DataError, ParameterError) as exc:  # ParameterError: no or non-finite triangles
+        raise DataError(f"{path}: {exc}") from exc
+
+
 def _voxelize_config(cfg: RunConfig) -> geometry.VoxelMesh:
-    stl = cfg._resolve(cfg.stl)
-    with open(stl, "rb") as fh:
-        mesh = geometry.parse_stl(fh.read())
+    mesh = _read_mesh(cfg._resolve(cfg.stl))
     return geometry.voxelize(mesh, (cfg.pitch_x_um, cfg.pitch_y_um, cfg.pitch_z_um))
 
 
@@ -384,7 +395,7 @@ def _manifest(
     return "\n".join(lines)
 
 
-def run_pipeline(cfg: RunConfig, write_files: bool = True) -> PipelineResult:
+def run_pipeline(cfg: RunConfig) -> PipelineResult:
     """Simulate (or load) every layer, extract features, write store + manifest."""
     vox = _voxelize_config(cfg)
     layers = _layer_range(cfg, vox)
@@ -419,20 +430,19 @@ def run_pipeline(cfg: RunConfig, write_files: bool = True) -> PipelineResult:
     manifest = _manifest(
         cfg, results, report, hashlib.sha256(blob).hexdigest(), stl_sha
     )
-    if write_files:
-        out = cfg._resolve(cfg.out)
-        with open(out, "wb") as fh:
-            fh.write(blob)
-        with open(out + ".manifest.txt", "w", encoding="utf-8") as fh:
-            fh.write(manifest)
-        timing = [
-            f"layer {r.layer}: {r.seconds:.3f} s"
-            + "".join(f"; {name}: {s:.3f} s" for name, s in r.stage_seconds.items())
-            + f"; peak_rss_mb: {r.peak_rss_mb:.1f}"
-            for r in results
-        ]
-        with open(out + ".timings.txt", "w", encoding="utf-8") as fh:
-            fh.write("\n".join(timing) + "\n")
+    out = cfg._resolve(cfg.out)
+    with open(out, "wb") as fh:
+        fh.write(blob)
+    with open(out + ".manifest.txt", "w", encoding="utf-8") as fh:
+        fh.write(manifest)
+    timing = [
+        f"layer {r.layer}: {r.seconds:.3f} s"
+        + "".join(f"; {name}: {s:.3f} s" for name, s in r.stage_seconds.items())
+        + f"; peak_rss_mb: {r.peak_rss_mb:.1f}"
+        for r in results
+    ]
+    with open(out + ".timings.txt", "w", encoding="utf-8") as fh:
+        fh.write("\n".join(timing) + "\n")
     return PipelineResult(
         config=cfg,
         store=fstore,
@@ -549,8 +559,7 @@ def _cmd_calibrate_thermal(args) -> int:
 
 
 def _cmd_voxelize(args) -> int:
-    with open(args.stl, "rb") as fh:
-        mesh = geometry.parse_stl(fh.read())
+    mesh = _read_mesh(args.stl)
     try:
         pitch = tuple(_parse_pitch(args.pitch).values())
     except ValueError as exc:
@@ -639,7 +648,10 @@ def _cmd_export(args) -> int:
     key = args.feature.strip().upper()
     if key not in feat.FeatureId.__members__:
         raise ConfigError(f"unknown feature {args.feature!r}")
-    blob = store.export_grid(fstore, args.layer, int(feat.FeatureId[key]), args.format)
+    try:
+        blob = store.export_grid(fstore, args.layer, int(feat.FeatureId[key]), args.format)
+    except FeatureNotFoundError as exc:
+        raise FeatureNotFoundError(f"{args.store}: {exc}") from exc
     with open(args.out, "wb") as fh:
         fh.write(blob)
     print(f"wrote {len(blob)} bytes to {args.out}")

@@ -73,10 +73,7 @@ class FeatureMap:
 
 @dataclass
 class SpatterRecord:
-    frame: int
-    landing_pixels: np.ndarray  # (n, 2) array of camera (y, x)
     centroid: tuple[float, float]  # camera (x, y)
-    size: int
 
 
 @dataclass
@@ -94,6 +91,7 @@ INTERPASS_FRAME_CAP = 3
 SPATTER_MASK_SIGMA = 3.0  # px, gradient scale of the scan mask
 SPATTER_BLOB_SIGMA = 1.0  # px, LoG scale of a spatter blob
 SPATTER_DILATION_PX = 2
+LAPLACIAN_SIGMA = 1.0  # px, LoG scale of the interpass and as-printed Laplacians
 # a spatter cluster within NEAR_LASER_PX (Euclidean) of a pixel scanned within
 # NEAR_LASER_FRAMES of its frame is the melt front's own edge
 NEAR_LASER_FRAMES = 3
@@ -284,7 +282,7 @@ def spatter_frame_filter(
 
     grad = imageops.gaussian_gradient_magnitude(frame, SPATTER_MASK_SIGMA)
     try:
-        (g_thr,) = imageops.otsu_thresholds(grad, 2)
+        (g_thr,) = imageops.otsu_thresholds(grad)
     except imageops.DegenerateHistogramError:
         return np.zeros(frame.shape, dtype=bool), empty
     scan_mask = imageops.dilate_disk(grad > g_thr, SPATTER_DILATION_PX)
@@ -293,7 +291,7 @@ def spatter_frame_filter(
     exclude = imageops.dilate_disk(scan_mask, 1)
     pos = np.where((neg_log > 0) & ~exclude, neg_log, 0.0)
     try:
-        (b_thr,) = imageops.otsu_thresholds(pos, 2)
+        (b_thr,) = imageops.otsu_thresholds(pos)
     except imageops.DegenerateHistogramError:
         return scan_mask, empty
     candidates = (neg_log > max(b_thr, noise_floor)) & ~exclude
@@ -361,14 +359,7 @@ def spatter_layer(
             px = clusters.labels == lbl
             registry[px] = True
             coords = np.argwhere(px) + np.array(stack.origin)
-            records.append(
-                SpatterRecord(
-                    frame=t,
-                    landing_pixels=coords,
-                    centroid=(float(coords[:, 1].mean()), float(coords[:, 0].mean())),
-                    size=int(px.sum()),
-                )
-            )
+            records.append(SpatterRecord((float(coords[:, 1].mean()), float(coords[:, 0].mean()))))
         if clusters.count:
             generation[s == t] += clusters.count
     valid = s >= 0
@@ -448,25 +439,23 @@ def cooling_rate(
     )
 
 
-def interpass_laplacian(interpass_map: FeatureMap, sigma: float = 1.0) -> FeatureMap:
+def interpass_laplacian(interpass_map: FeatureMap) -> FeatureMap:
     """Laplacian-of-Gaussian of the interpass field; flags recoat anomalies."""
     return FeatureMap(
         feature_id=FeatureId.INTERPASS_LAPLACIAN,
         layer=interpass_map.layer,
-        grid=imageops.gaussian_laplace(interpass_map.grid, sigma),
+        grid=imageops.gaussian_laplace(interpass_map.grid, LAPLACIAN_SIGMA),
         validity=interpass_map.validity.copy(),
     )
 
 
-def asprinted_laplacian(
-    stack: LayerStack, profile: CalibrationProfile, sigma: float = 1.0
-) -> FeatureMap:
+def asprinted_laplacian(stack: LayerStack, profile: CalibrationProfile) -> FeatureMap:
     """LoG of the final frame converted at as-printed emissivity."""
     temp, ok = _to_temperature(stack.frames[-1], profile.emissivity_printed, profile)
     return FeatureMap(
         feature_id=FeatureId.ASPRINTED_LAPLACIAN,
         layer=stack.layer,
-        grid=imageops.gaussian_laplace(temp, sigma),
+        grid=imageops.gaussian_laplace(temp, LAPLACIAN_SIGMA),
         validity=ok,
     )
 
@@ -524,28 +513,20 @@ def extract_layer(
     params = params or FeatureParams()
     intensity, order = heat_intensity_and_scan_order(stack, profile)
     ip = interpass(stack, profile)
-    maps: dict[FeatureId, FeatureMap] = {
-        FeatureId.HEAT_INTENSITY: intensity,
-        FeatureId.SCAN_ORDER: order,
-        FeatureId.INTERPASS: ip,
-        FeatureId.LOCAL_PREDEPOSITION: local_predeposition(
-            stack, order, profile, params.offset_frames
-        ),
-        FeatureId.MAX_PREDEPOSITION: max_predeposition(
-            stack, order, profile, params.offset_frames
-        ),
-        FeatureId.MELT_POOL_AREA: melt_pool_area(stack, order, profile),
-        FeatureId.COOLING_RATE: cooling_rate(
-            stack, order, profile, params.cooling_window
-        ),
-        FeatureId.INTERPASS_LAPLACIAN: interpass_laplacian(ip),
-        FeatureId.ASPRINTED_LAPLACIAN: asprinted_laplacian(stack, profile),
-    }
+    maps = [
+        intensity,
+        order,
+        ip,
+        local_predeposition(stack, order, profile, params.offset_frames),
+        max_predeposition(stack, order, profile, params.offset_frames),
+        melt_pool_area(stack, order, profile),
+        cooling_rate(stack, order, profile, params.cooling_window),
+        interpass_laplacian(ip),
+        asprinted_laplacian(stack, profile),
+    ]
     gen, land, records = spatter_layer(stack, order, profile, params)
-    maps[FeatureId.SPATTER_GENERATION] = gen
-    maps[FeatureId.SPATTER_LANDING] = land
     values = {
-        fid: np.where(m.validity[rows, cols], m.grid[rows, cols], np.nan)
-        for fid, m in maps.items()
+        m.feature_id: np.where(m.validity[rows, cols], m.grid[rows, cols], np.nan)
+        for m in (*maps, gen, land)
     }
     return LayerFeatures(stack.layer, mask, values, records)

@@ -131,22 +131,10 @@ def mesh_to_binary_stl(mesh: TriangleMesh) -> bytes:
     return bytes(out)
 
 
-def box_mesh(size_mm, origin_mm=(0.0, 0.0, 0.0)) -> TriangleMesh:
-    """Axis-aligned watertight box, 12 triangles."""
-    sx, sy, sz = size_mm
-    ox, oy, oz = origin_mm
-    v = np.array(
-        [
-            [ox, oy, oz],
-            [ox + sx, oy, oz],
-            [ox + sx, oy + sy, oz],
-            [ox, oy + sy, oz],
-            [ox, oy, oz + sz],
-            [ox + sx, oy, oz + sz],
-            [ox + sx, oy + sy, oz + sz],
-            [ox, oy + sy, oz + sz],
-        ]
-    )
+def box_mesh(size_mm) -> TriangleMesh:
+    """Axis-aligned watertight box from the origin, 12 triangles."""
+    unit = [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0], [0, 0, 1], [1, 0, 1], [1, 1, 1], [0, 1, 1]]
+    v = np.array(unit, dtype=np.float64) * np.asarray(size_mm, dtype=np.float64)
     faces = [
         (0, 2, 1), (0, 3, 2),  # bottom
         (4, 5, 6), (4, 6, 7),  # top
@@ -183,30 +171,17 @@ class VoxelMesh:
         return int(self.occupancy.sum())
 
 
-def voxelize(
-    mesh: TriangleMesh,
-    pitch_um=DEFAULT_PITCH_UM,
-    origin_mm=None,
-    dims=None,
-) -> VoxelMesh:
+def voxelize(mesh: TriangleMesh, pitch_um=DEFAULT_PITCH_UM) -> VoxelMesh:
     """Voxelize a mesh: a voxel is occupied iff its center is inside.
 
     Non-watertight meshes produce a warning and a best-effort result with
-    exact=False. origin defaults to the mesh bbox minimum; dims default to
-    covering the bbox.
+    exact=False. The grid starts at the mesh bbox minimum and covers the bbox.
     """
     pitch_mm = np.asarray(pitch_um, dtype=np.float64) / 1000.0
     if np.any(pitch_mm <= 0):
         raise ParameterError("pitch must be positive")
-    lo, hi = mesh.bbox
-    if origin_mm is None:
-        origin_mm = tuple(lo)
-    origin = np.asarray(origin_mm, dtype=np.float64)
-    if dims is None:
-        dims = tuple(
-            int(np.ceil((hi[k] - origin[k]) / pitch_mm[k] - 1e-9)) for k in range(3)
-        )
-    nx, ny, nz = dims
+    origin, hi = mesh.bbox
+    dims = tuple(int(np.ceil((hi[k] - origin[k]) / pitch_mm[k] - 1e-9)) for k in range(3))
     if min(dims) < 1:
         raise ParameterError(f"empty voxel grid dims {dims}")
 
@@ -216,7 +191,7 @@ def voxelize(
             "mesh is not watertight; voxel occupancy is best-effort", stacklevel=2
         )
 
-    occ = _parity_occupancy(mesh.vertices, origin, pitch_mm, (nx, ny, nz))
+    occ = _parity_occupancy(mesh.vertices, origin, pitch_mm, dims)
     return VoxelMesh(
         occupancy=occ,
         pitch_um=tuple(float(p) for p in pitch_um),
@@ -330,8 +305,6 @@ class LayerMask:
     """Pixels occupied by the part on one layer plus the voxel registration."""
 
     layer: int
-    vox_i: np.ndarray
-    vox_j: np.ndarray
     pix_x: np.ndarray
     pix_y: np.ndarray
     voxel_indices: np.ndarray  # linear index, x-fastest
@@ -390,8 +363,6 @@ def layer_mask(vox: VoxelMesh, layer: int, reg: PixelGridFrame) -> LayerMask:
     order = np.argsort(linear, kind="stable")
     return LayerMask(
         layer=layer,
-        vox_i=ii[order].astype(np.int64),
-        vox_j=jj[order].astype(np.int64),
         pix_x=px[order].astype(np.int64),
         pix_y=py[order].astype(np.int64),
         voxel_indices=linear[order].astype(np.uint32),

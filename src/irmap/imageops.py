@@ -17,8 +17,9 @@ import numpy as np
 from .errors import DegenerateHistogramError, ParameterError
 
 OTSU_BINS = 256
-# frames per pass of a whole-stack reduction: its temporaries are this many
-# frames deep, not as deep as the stack
+# frames per pass of a whole-stack step (a reduction here or in `features`,
+# or a step of the render): its temporaries are this many frames deep, not as
+# deep as the stack
 CHUNK_FRAMES = 16
 
 
@@ -133,15 +134,13 @@ def _uniform_histogram(a: np.ndarray, lo: float, hi: float) -> tuple[np.ndarray,
     return np.bincount(idx, minlength=OTSU_BINS), edges
 
 
-def otsu_thresholds(img, classes: int = 2) -> list[float]:
-    """Thresholds maximizing between-class variance over a 256-bin histogram.
+def otsu_thresholds(img) -> list[float]:
+    """The two-class threshold maximizing between-class variance over a
+    256-bin histogram, as a one-element list.
 
-    The histogram spans the image's own [min, max]. Only the two-class case
-    is supported; ties resolve to the lowest threshold. Pixels classify as
-    high-class when value > threshold.
+    The histogram spans the image's own [min, max]. Ties resolve to the
+    lowest threshold. Pixels classify as high-class when value > threshold.
     """
-    if classes != 2:
-        raise ParameterError(f"only classes=2 is supported, got {classes}")
     a = _as_grid(img).ravel()
     lo, hi = float(a.min()), float(a.max())
     hist, edges = _uniform_histogram(a, lo, hi)

@@ -136,14 +136,16 @@ def invert_counts_array(counts, eps, profile: CalibrationProfile):
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+FIT_TOL = 1e-4  # width of the golden-section interval at which a fit stops
+MIN_SPAN_C = 100.0  # degC, the least spread of a fit's reference temperatures
 
 
-def _golden_min(f, lo: float, hi: float, tol: float = 1e-4) -> float:
+def _golden_min(f, lo: float, hi: float) -> float:
     a, b = lo, hi
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = f(c), f(d)
-    while (b - a) > tol:
+    while (b - a) > FIT_TOL:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)
@@ -155,7 +157,7 @@ def _golden_min(f, lo: float, hi: float, tol: float = 1e-4) -> float:
     return 0.5 * (a + b)
 
 
-def _check_samples(temps, min_span: float = 100.0) -> None:
+def _check_samples(temps) -> None:
     t = np.asarray(temps, dtype=np.float64)
     if t.size < 2:
         raise ParameterError("need at least 2 calibration samples")
@@ -163,9 +165,9 @@ def _check_samples(temps, min_span: float = 100.0) -> None:
         raise ParameterError("non-finite reference temperature in samples")
     if float(t.max() - t.min()) < 1e-9:
         raise IllConditionedError("all samples at one temperature; objective is flat")
-    if float(t.max() - t.min()) < min_span:
+    if float(t.max() - t.min()) < MIN_SPAN_C:
         raise ParameterError(
-            f"reference temperatures must span at least {min_span} degC"
+            f"reference temperatures must span at least {MIN_SPAN_C} degC"
         )
 
 
@@ -179,9 +181,7 @@ def _squared_error(temps, valid, reference) -> float:
     return float(np.cumsum(sq)[-1])
 
 
-def fit_emissivity(
-    samples, profile: CalibrationProfile, tol: float = 1e-4
-) -> tuple[float, float]:
+def fit_emissivity(samples, profile: CalibrationProfile) -> tuple[float, float]:
     """Fit the emissivity minimizing squared temperature error.
 
     samples: iterable of (counts, reference_temperature_c). Returns
@@ -198,7 +198,7 @@ def fit_emissivity(
     def objective(eps: float) -> float:
         return _squared_error(*invert_counts_array(counts, eps, profile), temps)
 
-    eps = min(1.0, _golden_min(objective, 1e-3, 1.0, tol))
+    eps = min(1.0, _golden_min(objective, 1e-3, 1.0))
     fitted, valid = invert_counts_array(counts, eps, profile)
     if not valid.all():
         i = int(np.argmin(valid))
@@ -211,9 +211,7 @@ def fit_emissivity(
     return eps, float(np.std(fitted - temps, ddof=1))
 
 
-def fit_window_transmission(
-    paired, profile: CalibrationProfile, tol: float = 1e-4
-) -> float:
+def fit_window_transmission(paired, profile: CalibrationProfile) -> float:
     """Fit window transmission from with/without-glass count pairs.
 
     paired: iterable of (counts_with_glass, counts_without_glass,
@@ -237,7 +235,7 @@ def fit_window_transmission(
         prof = replace(profile, window_transmission=tau)
         return _squared_error(*invert_counts_array(with_g, eps, prof), t_bare)
 
-    return min(1.0, _golden_min(objective, 0.05, 1.0, tol))
+    return min(1.0, _golden_min(objective, 0.05, 1.0))
 
 
 _PROFILE_SECTION = "profile"

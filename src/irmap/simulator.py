@@ -10,14 +10,15 @@ generator, not a physics solver.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import imageops
 from .errors import ParameterError
 from .features import UNSCANNED, LayerStack
 from .geometry import LayerMask
-from .radiometry import CalibrationProfile, forward_counts
+from .radiometry import KELVIN_OFFSET, CalibrationProfile, forward_counts
 from .store import quantize_counts
 
 
@@ -47,11 +48,6 @@ class SpatterEvent:
             raise ParameterError("spatter peak and decay must be positive")
 
 
-@dataclass
-class SpatterSchedule:
-    events: list[SpatterEvent] = field(default_factory=list)
-
-
 _FWHM_PER_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
 
 
@@ -65,6 +61,8 @@ class ThermalParams:
     decay_s: float = 0.033
 
     def __post_init__(self):
+        if not np.all(np.asarray(self.ambient_c) > -KELVIN_OFFSET):  # a NaN fails too
+            raise ParameterError(f"ambient_c must be above {-KELVIN_OFFSET} degC")
         if self.footprint_px < 1.0:
             raise ParameterError("footprint must be at least 1 px")
         if self.decay_s <= 0:
@@ -83,7 +81,6 @@ class ScanPath:
     y_px: np.ndarray
     t_s: np.ndarray
     step_mm: float
-    orientation_deg: float
     origin_px: tuple[float, float] = (0.0, 0.0)  # registration origin of the samples
 
     def __len__(self) -> int:
@@ -130,7 +127,6 @@ def generate_scan_path(mask: LayerMask, params: ScanParameters, layer: int) -> S
             y_px=np.empty(0),
             t_s=np.empty(0),
             step_mm=pitch_mm / SAMPLES_PER_PIXEL,
-            orientation_deg=math.degrees(theta),
             origin_px=(ox, oy),
         )
     ys, xs = np.nonzero(dense)
@@ -174,7 +170,6 @@ def generate_scan_path(mask: LayerMask, params: ScanParameters, layer: int) -> S
         y_px=y_all,
         t_s=t_all,
         step_mm=step,
-        orientation_deg=math.degrees(theta),
         origin_px=(ox, oy),
     )
 
@@ -186,7 +181,6 @@ class GroundTruth:
     outside the window is unscanned powder."""
 
     scan_order: np.ndarray  # frame index per window pixel, -1 unscanned
-    emissivity: np.ndarray  # final emissivity per window pixel
     spatter_events: list[SpatterEvent]
     origin: tuple[int, int]  # camera (row, col) of the window's [0, 0] pixel
     dims: tuple[int, int]  # camera (width, height)
@@ -200,9 +194,6 @@ class GroundTruth:
 
 
 SPATTER_SIGMA_PX = 0.7
-# frames per pass of the render's whole-window steps: a block's float64
-# temporaries stay small, and one call per block replaces one per frame
-BLOCK_FRAMES = 16
 
 
 def _profiles(centres: np.ndarray, first: int, sigma: float):
@@ -264,8 +255,8 @@ def _true_temperatures(path, thermal, events, amb, window, seen, n, fps, prescan
             amps = np.array([ev.peak_dt_c * math.exp(-((k - e) / fps) / ev.decay_s) for k in range(e, n)])
             box = (slice(y0 - oy, y1 - oy), slice(x0 - ox, x1 - ox))
             bumps.append((e, box, amps[:, None, None], bump))
-    for a in range(0, n, BLOCK_FRAMES):
-        b = min(a + BLOCK_FRAMES, n)
+    for a in range(0, n, imageops.CHUNK_FRAMES):
+        b = min(a + imageops.CHUNK_FRAMES, n)
         block = truth[a:b]
         block *= scale
         block += amb[rows, cols]
@@ -280,7 +271,7 @@ def render_frames(
     dims: tuple[int, int],
     thermal: ThermalParams,
     profile: CalibrationProfile,
-    spatters: SpatterSchedule | None = None,
+    spatters: list[SpatterEvent] | None = None,
     window: tuple[slice, slice] | None = None,
     noise_percent: float = 0.0,
     fps: float = 30.0,
@@ -301,14 +292,14 @@ def render_frames(
     `store.quantize_counts`, as a stack file holds them.
     """
     w, h = dims
-    spatters = spatters or SpatterSchedule()
+    spatters = list(spatters or [])
     rows, cols = window or (slice(0, h), slice(0, w))
     origin = (rows.start, cols.start)
     amb = np.broadcast_to(np.asarray(thermal.ambient_c, dtype=np.float64), (h, w)).copy()
 
     n_scan = math.ceil(path.duration_s * fps - 1e-12) if len(path) else 0
     n = prescan_frames + n_scan + tail_frames
-    for ev in spatters.events:
+    for ev in spatters:
         if not (0 <= ev.emit_frame < n):
             raise ParameterError(f"spatter emit frame {ev.emit_frame} outside [0, {n})")
         if not (0 <= ev.landing_px[0] < w and 0 <= ev.landing_px[1] < h):
@@ -321,14 +312,16 @@ def render_frames(
         raise ParameterError("scan path leaves the render window")
     seen[iy, ix] = True
     truth = _true_temperatures(
-        path, thermal, spatters.events, amb, (rows, cols), seen, n, fps, prescan_frames
+        path, thermal, spatters, amb, (rows, cols), seen, n, fps, prescan_frames
     )
 
     scan_order = np.full(seen.shape, UNSCANNED, dtype=np.int64)
     scan_order[seen] = truth.argmax(axis=0)[seen]
 
-    blocks = [(a, min(a + BLOCK_FRAMES, n)) for a in range(0, n, BLOCK_FRAMES)]
-    counts = truth  # turned into counts in place, a block of frames at a time
+    # a block of frames at a time: its float64 temporaries stay small, and one
+    # call per block replaces one per frame
+    blocks = [(a, min(a + imageops.CHUNK_FRAMES, n)) for a in range(0, n, imageops.CHUNK_FRAMES)]
+    counts = truth  # turned into counts in place
     for a, b in blocks:
         k = np.arange(a, b)[:, None, None]
         eps = np.where(seen & (k > scan_order), profile.emissivity_printed, profile.emissivity_powder)
@@ -343,7 +336,7 @@ def render_frames(
             noisy += counts[a:b]
         frames[a:b] = quantize_counts(noisy)
     stack = LayerStack(frames=frames, fps=fps, layer=layer, origin=origin)
-    return stack, GroundTruth(scan_order, eps[-1].copy(), list(spatters.events), origin, dims)
+    return stack, GroundTruth(scan_order, spatters, origin, dims)
 
 
 def _first_visits(path: ScanPath, dims: tuple[int, int], fr: np.ndarray):
@@ -359,6 +352,10 @@ def _first_visits(path: ScanPath, dims: tuple[int, int], fr: np.ndarray):
 
 # px, the least distance between two landings of one layer
 MIN_SEPARATION_PX = 6.0
+# frames from an emit frame to the first scan of its landing pixel, at least
+MIN_LEAD_FRAMES = 20
+# px, the least distance from a landing to the laser around its emit frame
+CLEARANCE_PX = 9.0
 
 
 def make_spatter_schedule(
@@ -370,14 +367,13 @@ def make_spatter_schedule(
     fps: float = 30.0,
     prescan_frames: int = 3,
     seed: int = 0,
-    min_lead_frames: int = 20,
-    clearance_px: float = 9.0,
-) -> SpatterSchedule:
+) -> list[SpatterEvent]:
     """Choose spatter events landing on powder well ahead of the laser.
 
-    Landing pixels are in-part, scanned at least min_lead_frames after the
-    emit frame, and at least clearance_px from the laser's position around
-    the emit frame, so a detector is not excused by mask overlap.
+    Landing pixels are in-part, scanned at least MIN_LEAD_FRAMES after the
+    emit frame, at least CLEARANCE_PX from the laser's position around the
+    emit frame, so a detector is not excused by mask overlap, and at least
+    MIN_SEPARATION_PX from each other.
     """
     if count > 0 and not len(path):
         raise ParameterError(
@@ -390,21 +386,21 @@ def make_spatter_schedule(
     last_frame = int(fr.max()) if len(fr) else prescan_frames
     # every emit frame is at least prescan_frames + 2, so when the last first
     # visit comes before that plus the lead, no draw can succeed
-    placeable = len(first) and int(first.max()) >= prescan_frames + 2 + min_lead_frames
+    placeable = len(first) and int(first.max()) >= prescan_frames + 2 + MIN_LEAD_FRAMES
     rng = np.random.default_rng(seed)
     chosen: list[SpatterEvent] = []
     attempts = 0
     while placeable and len(chosen) < count and attempts < 4000:
         attempts += 1
-        emit = int(rng.integers(prescan_frames + 2, max(prescan_frames + 3, last_frame - min_lead_frames - 8)))
+        emit = int(rng.integers(prescan_frames + 2, max(prescan_frames + 3, last_frame - MIN_LEAD_FRAMES - 8)))
         j = rng.integers(len(candidates))
         cy, cx = divmod(int(candidates[j]), w)
-        if first[j] < emit + min_lead_frames:
+        if first[j] < emit + MIN_LEAD_FRAMES:
             continue
         near = (fr >= emit - 1) & (fr <= emit + 4)
         if near.any():
             d = np.hypot(path.x_px[near] - cx, path.y_px[near] - cy)
-            if float(d.min()) < clearance_px:
+            if float(d.min()) < CLEARANCE_PX:
                 continue
         if any(
             math.hypot(ev.landing_px[0] - cx, ev.landing_px[1] - cy)
@@ -424,4 +420,4 @@ def make_spatter_schedule(
         raise ParameterError(
             f"layer {mask.layer}: could only place {len(chosen)} of {count} spatter events"
         )
-    return SpatterSchedule(events=chosen)
+    return chosen

@@ -66,7 +66,6 @@ from irmap.simulator import (
     GroundTruth,
     ScanPath,
     SpatterEvent,
-    SpatterSchedule,
     _nearest,
     _true_temperatures,
 )
@@ -320,7 +319,7 @@ def spatter_frame_filter(frame_counts, floor_sigmas: float = 6.0):
     empty = LabelGrid(labels=np.zeros(frame.shape, dtype=np.int32), count=0)
     grad = imageops.gaussian_gradient_magnitude(frame, SPATTER_MASK_SIGMA)
     try:
-        (g_thr,) = imageops.otsu_thresholds(grad, 2)
+        (g_thr,) = imageops.otsu_thresholds(grad)
     except DegenerateHistogramError:
         return np.zeros(frame.shape, dtype=bool), empty
     scan_mask = dilate_disk(grad > g_thr, SPATTER_DILATION_PX)
@@ -331,7 +330,7 @@ def spatter_frame_filter(frame_counts, floor_sigmas: float = 6.0):
     exclude = dilate_disk(scan_mask, 1)
     pos = np.where((neg_log > 0) & ~exclude, neg_log, 0.0)
     try:
-        (b_thr,) = imageops.otsu_thresholds(pos, 2)
+        (b_thr,) = imageops.otsu_thresholds(pos)
     except DegenerateHistogramError:
         return scan_mask, empty
     candidates = (neg_log > max(b_thr, noise_floor)) & ~exclude
@@ -385,14 +384,7 @@ def spatter_layer(stack, scan_order, profile, params=None, stats=None):
             landing[px] += 1.0
             registry[px] = True
             coords = np.argwhere(px) + np.array(stack.origin)
-            records.append(
-                SpatterRecord(
-                    frame=t,
-                    landing_pixels=coords,
-                    centroid=(float(coords[:, 1].mean()), float(coords[:, 0].mean())),
-                    size=int(px.sum()),
-                )
-            )
+            records.append(SpatterRecord((float(coords[:, 1].mean()), float(coords[:, 0].mean()))))
         if new_count:
             generation[s == t] += new_count
     valid = s >= 0
@@ -416,7 +408,7 @@ def invert_counts(counts: float, eps: float, profile) -> float:
     return float(profile.model.temperature(s_obj))
 
 
-def fit_emissivity(samples, profile, tol: float = 1e-4):
+def fit_emissivity(samples, profile):
     """`radiometry.fit_emissivity` whose objective inverts one sample at a
     time and adds each squared error, or 1e12 below the floor, to a running
     total."""
@@ -435,14 +427,14 @@ def fit_emissivity(samples, profile, tol: float = 1e-4):
                 total += 1e12
         return total
 
-    eps = min(1.0, _golden_min(objective, 1e-3, 1.0, tol))
+    eps = min(1.0, _golden_min(objective, 1e-3, 1.0))
     resid = np.array(
         [invert_counts(float(c), eps, profile) - t for c, t in zip(counts, temps)]
     )
     return eps, float(np.std(resid, ddof=1))
 
 
-def fit_window_transmission(paired, profile, tol: float = 1e-4):
+def fit_window_transmission(paired, profile):
     """`radiometry.fit_window_transmission` with the same one-sample objective."""
     with_g = np.asarray([p[0] for p in paired], dtype=np.float64)
     without_g = np.asarray([p[1] for p in paired], dtype=np.float64)
@@ -465,7 +457,7 @@ def fit_window_transmission(paired, profile, tol: float = 1e-4):
                 total += 1e12
         return total
 
-    return min(1.0, _golden_min(objective, 0.05, 1.0, tol))
+    return min(1.0, _golden_min(objective, 0.05, 1.0))
 
 
 def local_predeposition(stack, scan_order, profile, offset: int = 10):
@@ -670,7 +662,7 @@ def generate_scan_path(mask, params, layer: int, samples_per_pixel: float = 2.0)
     dense = mask.pixel_mask()
     step = pitch_mm / samples_per_pixel
     if not dense.any():
-        return ScanPath(np.empty(0), np.empty(0), np.empty(0), step, math.degrees(theta), (ox, oy))
+        return ScanPath(np.empty(0), np.empty(0), np.empty(0), step, (ox, oy))
     ys, xs = np.nonzero(dense)
     px_mm = (xs - ox) * pitch_mm
     py_mm = (ys - oy) * pitch_mm
@@ -703,7 +695,7 @@ def generate_scan_path(mask, params, layer: int, samples_per_pixel: float = 2.0)
     x_all = np.concatenate(out_x) if out_x else np.empty(0)
     y_all = np.concatenate(out_y) if out_y else np.empty(0)
     t_all = (np.arange(len(x_all)) + 1) * (step / params.scan_speed_mm_s)
-    return ScanPath(x_all, y_all, t_all, step, math.degrees(theta), (ox, oy))
+    return ScanPath(x_all, y_all, t_all, step, (ox, oy))
 
 
 def render_frames(
@@ -713,7 +705,7 @@ def render_frames(
     """`simulator.render_frames` converting, and adding noise to, one frame at
     a time, with the one-expression `forward_counts`."""
     w, h = dims
-    spatters = spatters or SpatterSchedule()
+    spatters = list(spatters or [])
     rows, cols = window or (slice(0, h), slice(0, w))
     origin = (rows.start, cols.start)
     amb = np.broadcast_to(np.asarray(thermal.ambient_c, dtype=np.float64), (h, w)).copy()
@@ -722,7 +714,7 @@ def render_frames(
     seen = np.zeros(amb[rows, cols].shape, dtype=bool)
     ix, iy = path.pixels()
     seen[np.clip(iy, 0, h - 1) - origin[0], np.clip(ix, 0, w - 1) - origin[1]] = True
-    truth = _true_temperatures(path, thermal, spatters.events, amb, (rows, cols), seen, n, fps, prescan_frames)
+    truth = _true_temperatures(path, thermal, spatters, amb, (rows, cols), seen, n, fps, prescan_frames)
     scan_order = np.full(seen.shape, UNSCANNED, dtype=np.int64)
     scan_order[seen] = np.argmax(truth[:, seen], axis=0)
     counts = truth
@@ -736,13 +728,13 @@ def render_frames(
         noise = rng.normal(0.0, sigma, seen.shape) if noise_percent > 0 else 0.0
         frames[k] = np.clip(np.round(counts[k] + noise), 0, 65535).astype("<u2")
     stack = LayerStack(frames=frames, fps=fps, layer=layer, origin=origin)
-    return stack, GroundTruth(scan_order, eps, list(spatters.events), origin, dims)
+    return stack, GroundTruth(scan_order, spatters, origin, dims)
 
 
 def make_spatter_schedule(
     path, mask, count, peak_dt_c=250.0, decay_s=0.15, fps=30.0, prescan_frames=3, seed=0,
     min_lead_frames=20, clearance_px=9.0, min_separation_px=6.0,
-) -> SpatterSchedule:
+) -> list[SpatterEvent]:
     """`simulator.make_spatter_schedule` drawing its candidates from the
     whole camera frame of first visits."""
     if count > 0 and not len(path):
@@ -769,7 +761,7 @@ def make_spatter_schedule(
         chosen.append(SpatterEvent(emit, (int(cx), int(cy)), peak_dt_c, decay_s))
     if len(chosen) < count:
         raise ParameterError(f"could only place {len(chosen)} of {count} spatter events")
-    return SpatterSchedule(events=chosen)
+    return chosen
 
 
 def export_csv(store, layer: int, feature_id: int) -> bytes:

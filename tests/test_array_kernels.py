@@ -125,9 +125,13 @@ def _perturbed_passes(monkeypatch, mesh, origin, dims):
 
 
 def _grid(mesh, origin, dims):
-    """The origin and dims `voxelize` would use."""
-    vox = voxelize(mesh, PITCH_UM, origin_mm=origin, dims=dims)
-    return np.asarray(vox.origin_mm), vox.dims, vox
+    """The origin, dims and occupancy of the grid: `voxelize`'s own grid over
+    the mesh bbox when `origin` is None, else the given one."""
+    if origin is None:
+        vox = voxelize(mesh, PITCH_UM)
+        return np.asarray(vox.origin_mm), vox.dims, vox.occupancy
+    origin = np.asarray(origin, dtype=np.float64)
+    return origin, dims, geometry._parity_occupancy(mesh.vertices, origin, PITCH_MM, dims)
 
 
 class TestParityOccupancy:
@@ -135,19 +139,19 @@ class TestParityOccupancy:
     @pytest.mark.parametrize("name", list(_meshes()))
     def test_matches_column_oracle(self, name):
         mesh, origin, dims = _meshes()[name]
-        origin, dims, vox = _grid(mesh, origin, dims)
+        origin, dims, occ = _grid(mesh, origin, dims)
         want = oracles.parity_occupancy(mesh.vertices, origin, PITCH_MM, dims)
         assert want.any()
-        assert vox.occupancy.tobytes() == want.tobytes()
+        assert occ.tobytes() == want.tobytes()
 
     @pytest.mark.filterwarnings("ignore:mesh is not watertight")
     @pytest.mark.parametrize("name", ["sphere", "box", "on-ray tetrahedron"])
     def test_ray_blocks_do_not_change_occupancy(self, name, monkeypatch):
         mesh, origin, dims = _meshes()[name]
-        origin, dims, vox = _grid(mesh, origin, dims)
+        origin, dims, want = _grid(mesh, origin, dims)
         monkeypatch.setattr(geometry, "RAY_BLOCK", 3 * len(mesh.vertices))  # 3 rays a pass
         occ = geometry._parity_occupancy(mesh.vertices, origin, PITCH_MM, dims)
-        assert occ.tobytes() == vox.occupancy.tobytes()
+        assert occ.tobytes() == want.tobytes()
 
     def test_on_ray_mesh_takes_the_retry_path(self, monkeypatch):
         mesh, origin, dims = _meshes()["on-ray tetrahedron"]
@@ -181,7 +185,8 @@ class TestParityOccupancy:
         assert mesh.is_watertight() is oracles.is_watertight(mesh)
 
     def test_is_watertight_joins_signed_zero_vertices(self):
-        box = box_mesh((1.0, 1.0, 1.0), (-0.5, -0.5, 0.0))
+        unit = box_mesh((1.0, 1.0, 1.0))
+        box = TriangleMesh(unit.vertices + (-0.5, -0.5, 0.0), unit.normals)
         flipped = box.vertices.copy()
         flipped[0][flipped[0] == 0.0] = -0.0
         mesh = TriangleMesh(vertices=flipped, normals=box.normals)

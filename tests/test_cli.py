@@ -8,9 +8,16 @@ import pytest
 
 from irmap import cli
 from irmap.cli import RunConfig, load_config, main
-from irmap.geometry import box_mesh, mesh_to_binary_stl
+from irmap.geometry import SparseFeature, box_mesh, mesh_to_binary_stl
 from irmap.radiometry import CalibrationProfile, forward_counts, profile_to_text
-from irmap.store import quantize_counts, read_layer_stack, write_layer_stack
+from irmap.store import (
+    FeatureStore,
+    StoreMeta,
+    quantize_counts,
+    read_layer_stack,
+    write_layer_stack,
+    write_store,
+)
 from test_store import MALFORMED_STORES
 
 MINI_CONFIG = """\
@@ -187,6 +194,19 @@ class TestExitCodes:
             ([], ("spatter_count = 0", "spatter_count = -1"), "[simulation] spatter_count must be at least 0"),
             ([], ("[camera]", "[features]\noffset_frames = -1\n[camera]"), "[features] offset_frames must be at least 0"),
             ([], ("[camera]", "[features]\ncooling_window = 0\n[camera]"), "[features] cooling_window must be at least 1"),
+            ([], ("[camera]", "[thermal]\ndecay_s = nan\n[camera]"), "[thermal] decay_s must be a finite number"),
+            ([], ("[camera]", "[thermal]\ndecay_s = inf\n[camera]"), "[thermal] decay_s must be a finite number"),
+            ([], ("[camera]", "[thermal]\nambient_c = nan\n[camera]"), "[thermal] ambient_c must be a finite number"),
+            ([], ("[camera]", "[thermal]\nambient_c = -inf\n[camera]"), "[thermal] ambient_c must be a finite number"),
+            ([], ("[camera]", "[thermal]\npeak_c = inf\n[camera]"), "[thermal] peak_c must be a finite number"),
+            ([], ("[camera]", "[thermal]\nfootprint_px = nan\n[camera]"), "[thermal] footprint_px must be a finite number"),
+            (
+                [],
+                ("[camera]", "[features]\nspatter_floor_sigmas = nan\n[camera]"),
+                "[features] spatter_floor_sigmas must be a finite number",
+            ),
+            ([], ("fps = 30", "fps = inf"), "[camera] fps must be a finite number"),
+            ([], ("[camera]", "[thermal]\nambient_c = -300\n[camera]"), "ambient_c must be above -273.15 degC"),
         ],
         ids=[
             "jobs-zero",
@@ -206,6 +226,15 @@ class TestExitCodes:
             "spatter-count-negative",
             "offset-negative",
             "cooling-window-zero",
+            "decay-nan",
+            "decay-inf",
+            "ambient-nan",
+            "ambient-minus-inf",
+            "peak-inf",
+            "footprint-nan",
+            "spatter-floor-nan",
+            "fps-inf",
+            "ambient-below-absolute-zero",
         ],
     )
     def test_bad_config_value(self, mini_build, capsys, flags, ini_edit, message):
@@ -222,6 +251,37 @@ class TestExitCodes:
         assert main(["extract", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert "[simulation] spatter_count = 200: layer 0: could only place" in err
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"7 bytes", "input too short to be an STL file"),
+            (bytes(80) + struct.pack("<I", 0), "mesh must contain at least one triangle"),
+            (bytes(80) + struct.pack("<I", 2) + bytes(60), "binary STL declares 2 triangles"),
+            (b"solid x\nfacet normal 0 0 1\nvertex 0 0\n", "line 3: vertex needs 3 coordinates"),
+        ],
+        ids=["seven-bytes", "no-triangles", "truncated", "bad-ascii-vertex"],
+    )
+    @pytest.mark.parametrize("command", ["voxelize", "extract"])
+    def test_bad_stl_names_the_file(self, mini_build, capsys, command, data, message):
+        stl = mini_build / "mini.stl"
+        stl.write_bytes(data)
+        if command == "voxelize":
+            argv = ["voxelize", "--stl", str(stl)]
+        else:
+            argv = ["extract", "--config", str(mini_build / "mini.ini")]
+        assert main(argv) == 3
+        assert f"data error: {stl}: {message}" in capsys.readouterr().err
+
+    def test_export_of_a_missing_block_names_the_store(self, tmp_path, capsys):
+        fstore = FeatureStore(StoreMeta(pitch_um=(360.0, 360.0, 40.0), dims=(4, 4, 6)))
+        fstore.add(0, 1, SparseFeature(np.array([0, 5], dtype=np.uint32), np.ones(2, dtype=np.float32)))
+        store_path = tmp_path / "one.irvx"
+        store_path.write_bytes(write_store(fstore))
+        argv = ["export", "--store", str(store_path), "--layer", "5", "--feature", "scan_order"]
+        assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 3
+        err = capsys.readouterr().err
+        assert err == f"data error: {store_path}: (layer, feature) (5, 3) not in store\n"
 
     @pytest.mark.parametrize("pitch", ["nan,360,40", "360,0,40", "360,360,-40", "360,inf,40"])
     def test_bad_voxelize_pitch(self, mini_build, capsys, pitch):

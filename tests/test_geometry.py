@@ -3,10 +3,12 @@ import struct
 import numpy as np
 import pytest
 
+from irmap import geometry
 from irmap.errors import OutOfFrameError, ParameterError, StlParseError, StlTruncationError
 from irmap.geometry import (
     PixelGridFrame,
     TriangleMesh,
+    VoxelMesh,
     box_mesh,
     layer_mask,
     map_layer_feature,
@@ -95,19 +97,25 @@ class TestVoxelize:
         assert vox.exact
 
     def test_translation_by_whole_pitch(self):
+        """On one fixed grid, a box moved by one pitch along x fills the same
+        voxels moved by one index; `voxelize` itself grids each box's own bbox,
+        which gives both the same occupancy."""
         base = box_mesh((3.6, 3.6, 0.4))
-        vox0 = voxelize(base, (360.0, 360.0, 40.0), origin_mm=(0.0, 0.0, 0.0))
-        vox1 = voxelize(
-            TriangleMesh(base.vertices + (0.36, 0.0, 0.0), base.normals),
-            (360.0, 360.0, 40.0),
-            origin_mm=(0.0, 0.0, 0.0),
+        moved = TriangleMesh(base.vertices + (0.36, 0.0, 0.0), base.normals)
+        pitch_mm = np.array([0.36, 0.36, 0.04])
+        occ0, occ1 = (
+            geometry._parity_occupancy(m.vertices, np.zeros(3), pitch_mm, (11, 10, 10))
+            for m in (base, moved)
         )
-        assert vox1.occupied_count() == vox0.occupied_count()
-        i0, j0, k0 = np.nonzero(vox0.occupancy)
-        i1, j1, k1 = np.nonzero(vox1.occupancy)
+        assert occ1.sum() == occ0.sum() == 1000
+        i0, j0, k0 = np.nonzero(occ0)
+        i1, j1, k1 = np.nonzero(occ1)
         assert np.array_equal(np.sort(i0) + 1, np.sort(i1))
         assert np.array_equal(np.sort(j0), np.sort(j1))
         assert np.array_equal(np.sort(k0), np.sort(k1))
+        vox0, vox1 = (voxelize(m, (360.0, 360.0, 40.0)) for m in (base, moved))
+        assert np.array_equal(vox0.occupancy, vox1.occupancy)
+        assert vox1.origin_mm[0] == pytest.approx(vox0.origin_mm[0] + 0.36)
 
     def test_sphere_volume(self):
         r = 1.8
@@ -143,10 +151,12 @@ class TestLayerMask:
     def test_center_voxel_maps_to_origin(self):
         vox = voxelize(box_mesh((3.6, 3.6, 0.4)), (360.0, 360.0, 40.0))
         m = layer_mask(vox, 0, self.reg())
-        cx, cy = (vox.dims[0] - 1) // 2, (vox.dims[1] - 1) // 2
-        k = np.flatnonzero((m.vox_i == cx) & (m.vox_j == cy))[0]
+        nx, ny, _ = vox.dims
+        cx, cy = (nx - 1) // 2, (ny - 1) // 2
+        vox_i, vox_j = m.voxel_indices % nx, m.voxel_indices // nx % ny
+        k = np.flatnonzero((vox_i == cx) & (vox_j == cy))[0]
         assert (m.pix_x[k], m.pix_y[k]) == (32, 24)
-        k1 = np.flatnonzero((m.vox_i == cx + 1) & (m.vox_j == cy))[0]
+        k1 = np.flatnonzero((vox_i == cx + 1) & (vox_j == cy))[0]
         assert (m.pix_x[k1], m.pix_y[k1]) == (33, 24)
 
     def test_slab_contiguous_block(self):
@@ -183,9 +193,10 @@ class TestLayerMask:
         assert m.window(12) == (slice(26, 48), slice(0, 24))
 
     def test_empty_mask_window_is_whole_frame(self):
-        mesh = box_mesh((3.6, 3.6, 0.4))
-        vox = voxelize(mesh, (360.0, 360.0, 40.0), dims=(10, 10, 12))
-        m = layer_mask(vox, 11, self.reg())  # above the box
+        box = voxelize(box_mesh((3.6, 3.6, 0.4)), (360.0, 360.0, 40.0))
+        above = np.zeros((10, 10, 2), dtype=bool)  # two empty layers on top of the box
+        vox = VoxelMesh(np.concatenate([box.occupancy, above], axis=2), box.pitch_um, box.origin_mm)
+        m = layer_mask(vox, 11, self.reg())
         assert len(m) == 0
         assert m.window(12) == (slice(0, 48), slice(0, 64))
 

@@ -167,10 +167,6 @@ class TestOtsu:
             (thr,) = otsu_thresholds(img)
             assert abs(thr - exhaustive_otsu(img)) < 1e-12
 
-    def test_multiclass_rejected(self):
-        with pytest.raises(ParameterError):
-            otsu_thresholds(np.arange(16.0).reshape(4, 4), classes=3)
-
 
 def flood_fill_count(b, connectivity):
     """Iterative flood-fill component counter, the labeling oracle."""

@@ -93,7 +93,7 @@ def test_layer_results_hold_no_camera_frame_array(build):
     (build / "kept.ini").write_text(CONFIG)
     cfg = load_config(str(build / "kept.ini"))
     camera = (cfg.cam_height, cfg.cam_width)
-    for lr in run_pipeline(cfg, write_files=False).layers:
+    for lr in run_pipeline(cfg).layers:  # writes mini.irvx beside kept.ini
         shapes = {a.shape for a in _arrays(lr)}
         assert shapes and not any(s[-2:] == camera for s in shapes if len(s) >= 2)
         assert all(v.shape == (len(lr.mask),) for v in lr.features.values.values())

@@ -1,12 +1,13 @@
 """The spatter detector against `oracles.spatter_layer`, which filters every lit
 frame in full and tests each cluster's own 2 px disk against the near-laser
-pixels: generation, landing and the records must be byte-identical."""
+pixels: generation, landing and the records' centroids must be
+byte-identical."""
 
 import numpy as np
 import pytest
 
 import oracles
-from irmap import cli, imageops
+from irmap import cli, imageops, simulator
 from irmap.errors import DegenerateHistogramError
 from irmap.features import (
     NEAR_LASER_FRAMES,
@@ -41,11 +42,14 @@ def assert_same_spatter(stack, order, profile):
     for got, want in ((gen, o_gen), (land, o_land)):
         assert got.grid.tobytes() == want.grid.tobytes()
         assert np.array_equal(got.validity, want.validity)
-    assert len(records) == len(o_records)
-    for r, o in zip(records, o_records):
-        assert (r.frame, r.centroid, r.size) == (o.frame, o.centroid, o.size)
-        assert r.landing_pixels.tobytes() == o.landing_pixels.tobytes()
+    assert [r.centroid for r in records] == [o.centroid for o in o_records]
     return records
+
+
+def landing_pixels(stack, order, profile):
+    """The (y, x) window pixels that the SPATTER_LANDING map marks."""
+    _, land, _ = spatter_layer(stack, order, profile)
+    return set(map(tuple, np.argwhere(land.grid > 0).tolist()))
 
 
 def bump(shape, y, x, amp, sigma):
@@ -80,9 +84,9 @@ class TestRenderedWindows:
         reg = PixelGridFrame(pitch_um=360.0, origin_px=(48.0, 32.0), dims=(96, 64))
         mask = layer_mask(vox, 0, reg)
         path = generate_scan_path(mask, ScanParameters(), 0)
-        sched = make_spatter_schedule(
-            path, mask, 2, seed=seed, min_lead_frames=5, clearance_px=4.0
-        )
+        monkeypatch.setattr(simulator, "MIN_LEAD_FRAMES", 5)
+        monkeypatch.setattr(simulator, "CLEARANCE_PX", 4.0)
+        sched = make_spatter_schedule(path, mask, 2, seed=seed)
         stack, _ = render_frames(
             path, (96, 64), ThermalParams(), profile, spatters=sched,
             window=mask.window(WINDOW_PAD), noise_percent=1.0, seed=seed,
@@ -169,7 +173,10 @@ class TestEdgeCases:
             )
         stack = LayerStack(np.stack([np.full(shape, frame.min())] * t + [frame]))
         records = assert_same_spatter(stack, order_map(s), profile)
-        assert [set(map(tuple, r.landing_pixels)) for r in records] == [top, centre]
+        assert landing_pixels(stack, order_map(s), profile) == top | centre
+        assert [r.centroid for r in records] == [
+            tuple(float(np.mean([px[k] for px in c])) for k in (1, 0)) for c in (top, centre)
+        ]
 
     def test_early_exit_when_every_blob_is_near_the_laser(self, profile):
         shape, t = (40, 40), 1
@@ -202,8 +209,12 @@ class TestEdgeCases:
         assert spatter_frame_filter(cooled, near | (counted.labels > 0))[0] is None
 
         stack = LayerStack(np.stack([np.full(shape, frame.min()), frame, cooled]))
-        records = assert_same_spatter(stack, order_map(s), profile)
-        assert [r.frame for r in records] == [1]
+        gen, _, records = spatter_layer(stack, order_map(s), profile)
+        assert_same_spatter(stack, order_map(s), profile)
+        assert len(records) == 1 and (gen.grid[s == 1] == 1).all()  # counted once, in frame 1
+        assert landing_pixels(stack, order_map(s), profile) == set(
+            map(tuple, np.argwhere(counted.labels > 0).tolist())
+        )
         grad_calls = []
         real_grad = imageops.gaussian_gradient_magnitude
         monkeypatch.setattr(

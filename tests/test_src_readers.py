@@ -1,10 +1,21 @@
-"""Every name that `src/irmap` defines has a reader outside the unit tests.
+"""Every name, dataclass field and defaulted parameter that `src/irmap`
+defines has a reader outside the unit tests.
 
-A top-level function or class, or a method that is not a dunder, counts as
-read when an `ast.Name`, `ast.Attribute` or import alias in `src/irmap`,
-`bench/` or `tests/test_acceptance.py` names it; its own definition does not
-count, and neither does a string. A name that only unit tests read belongs
-in `tests/` (`tests/oracles.py` holds such helpers), not in the package.
+The readers are `src/irmap`, `bench/` and `tests/test_acceptance.py`; a
+definition never reads itself, and a string never counts. A name, field or
+keyword that only unit tests read belongs in `tests/` (`tests/oracles.py`
+holds such helpers), or as a module constant that tests monkeypatch, not in
+the package.
+
+- A top-level function or class, or a method that is not a dunder, counts as
+  read when an `ast.Name`, `ast.Attribute` or import alias names it.
+- A dataclass field counts as read when a load-context `ast.Attribute` names
+  it, or when its class is passed to a `fields(...)` or `.params(...)` call,
+  which reads every field by name.
+- A defaulted parameter of a top-level function or method counts as read when
+  a call whose callee name matches sets it, by keyword or by a positional
+  argument at or past its index; an exception's `__init__` is matched to calls
+  of its class. A call that passes `*args` or `**kwargs` sets every parameter.
 """
 
 import ast
@@ -19,6 +30,23 @@ def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), str(path))
 
 
+def _trees():
+    return [_parse(p) for p in READERS]
+
+
+def _name(node) -> str | None:
+    """The last name of a `Name` or `Attribute` node: `b` of `a.b`."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def defined_names(tree: ast.Module):
     """(qualified name, name) of each top-level function and class, and of
     each non-dunder method of those classes."""
@@ -27,24 +55,22 @@ def defined_names(tree: ast.Module):
             yield node.name, node.name
         if isinstance(node, ast.ClassDef):
             for method in (f for f in node.body if isinstance(f, ast.FunctionDef)):
-                if not (method.name.startswith("__") and method.name.endswith("__")):
+                if not _is_dunder(method.name):
                     yield f"{node.name}.{method.name}", method.name
 
 
 def read_names(tree: ast.Module) -> set[str]:
     names = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+        if isinstance(node, (ast.Name, ast.Attribute)):
+            names.add(_name(node))
         elif isinstance(node, ast.alias):
             names.update(node.name.split("."))
     return names
 
 
 def test_every_src_name_has_a_reader():
-    read = set().union(*(read_names(_parse(p)) for p in READERS))
+    read = set().union(*(read_names(t) for t in _trees()))
     unread = [
         f"{path.stem}.{qualified}"
         for path in SRC
@@ -52,3 +78,99 @@ def test_every_src_name_has_a_reader():
         if name not in read
     ]
     assert not unread, f"no reader in src/irmap, bench/ or the acceptance tests: {unread}"
+
+
+def dataclass_fields(tree: ast.Module):
+    """(class name, field name) of each field of each top-level dataclass."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(
+            _name(d.func if isinstance(d, ast.Call) else d) == "dataclass"
+            for d in node.decorator_list
+        ):
+            for stmt in node.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    yield node.name, stmt.target.id
+
+
+def read_fields(tree: ast.Module) -> tuple[set[str], set[str]]:
+    """(attribute names read, names of classes passed to `fields` or `.params`)."""
+    attrs, whole = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            attrs.add(node.attr)
+        elif isinstance(node, ast.Call) and _name(node.func) in ("fields", "params"):
+            whole.update(_name(a) for a in node.args)
+    return attrs, whole
+
+
+def test_every_dataclass_field_has_a_reader():
+    attrs, whole = set(), set()
+    for tree in _trees():
+        a, w = read_fields(tree)
+        attrs |= a
+        whole |= w
+    unread = [
+        f"{path.stem}.{cls}.{name}"
+        for path in SRC
+        for cls, name in dataclass_fields(_parse(path))
+        if cls not in whole and name not in attrs
+    ]
+    assert not unread, f"no reader in src/irmap, bench/ or the acceptance tests: {unread}"
+
+
+def defaulted_parameters(tree: ast.Module):
+    """(qualified name, callee name, parameter, positional index or None) of
+    each defaulted parameter of each top-level function and method. A method's
+    index counts from its first argument after `self`; a keyword-only
+    parameter has no index."""
+    exceptions = {"Exception"}  # and, in definition order, each class derived from one
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield from _defaults(node, node.name, node.name, 0)
+        elif isinstance(node, ast.ClassDef):
+            is_exception = any(_name(b) in exceptions for b in node.bases)
+            if is_exception:
+                exceptions.add(node.name)
+            for f in node.body:
+                if not isinstance(f, ast.FunctionDef):
+                    continue
+                static = any(_name(d) == "staticmethod" for d in f.decorator_list)
+                callee = node.name if (f.name == "__init__" and is_exception) else f.name
+                yield from _defaults(f, f"{node.name}.{f.name}", callee, 0 if static else 1)
+
+
+def _defaults(f: ast.FunctionDef, qualified: str, callee: str, skip: int):
+    positional = f.args.posonlyargs + f.args.args
+    first = len(positional) - len(f.args.defaults)
+    for i in range(first, len(positional)):
+        yield qualified, callee, positional[i].arg, i - skip
+    for arg, default in zip(f.args.kwonlyargs, f.args.kw_defaults):
+        if default is not None:
+            yield qualified, callee, arg.arg, None
+
+
+def set_parameters(tree: ast.Module):
+    """(callee name, keywords set, positional argument count, sets all) of each call."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _name(node.func):
+            spread = any(isinstance(a, ast.Starred) for a in node.args) or any(
+                k.arg is None for k in node.keywords
+            )
+            yield _name(node.func), {k.arg for k in node.keywords}, len(node.args), spread
+
+
+def test_every_defaulted_parameter_is_set_by_a_caller():
+    calls: dict[str, list] = {}
+    for tree in _trees():
+        for callee, keywords, npos, spread in set_parameters(tree):
+            calls.setdefault(callee, []).append((keywords, npos, spread))
+    unset = [
+        f"{path.stem}.{qualified}({param})"
+        for path in SRC
+        for qualified, callee, param, index in defaulted_parameters(_parse(path))
+        if not any(
+            spread or param in keywords or (index is not None and npos > index)
+            for keywords, npos, spread in calls.get(callee, [])
+        )
+    ]
+    assert not unset, f"no call in src/irmap, bench/ or the acceptance tests sets: {unset}"
