@@ -73,7 +73,7 @@ class RunConfig:
     stl: str = _ini("box.stl", "geometry")
     out: str = _ini("features.irvx", "run")
     frames_dir: str = _ini("", "run")  # empty = simulate in memory
-    seed: int = _ini(0, "run")
+    seed: int = _ini(0, "run", at_least=0)
     jobs: int = _ini(1, "run", at_least=1)
     layer_lo: int = _ini(0, "run", "layers", _parse_layers)  # sets layer_hi too
     layer_hi: int = -1  # -1 = all layers of the voxel grid
@@ -214,17 +214,25 @@ def _validate(cfg: RunConfig) -> None:
         if low is not None and getattr(cfg, f.name) < low:
             raise ConfigError(f"[{f.metadata['ini'][0]}] {f.name} must be at least {low}")
     if not (0.0 <= cfg.noise_percent <= 100.0):
-        raise ConfigError("noise_percent must be in [0, 100]")
+        raise ConfigError("[simulation] noise_percent must be in [0, 100]")
     if not 0.0 < cfg.fps < np.inf:
-        raise ConfigError("fps must be a positive number")
+        raise ConfigError("[camera] fps must be a positive number")
     if cfg.pitch_x_um != cfg.pitch_y_um:  # one voxel column per camera pixel
         raise ConfigError(
             f"[geometry] pitch_um x and y must be equal, got {cfg.pitch_x_um:g} and {cfg.pitch_y_um:g}"
         )
-    try:
-        cfg.registration(), cfg.scan_params(), cfg.params(simulator.ThermalParams)
-    except ParameterError as exc:
-        raise ConfigError(str(exc)) from exc
+    for key in ("spatter_peak_dt_c", "spatter_decay_s"):
+        if not getattr(cfg, key) > 0:
+            raise ConfigError(f"[simulation] {key} must be positive, got {getattr(cfg, key):g}")
+    for section, build in (
+        ("camera", cfg.registration),
+        ("scan", cfg.scan_params),
+        ("thermal", lambda: cfg.params(simulator.ThermalParams)),
+    ):
+        try:
+            build()
+        except ParameterError as exc:
+            raise ConfigError(f"[{section}] {exc}") from exc
     cfg.profile  # read once per run; a bad profile file is a config error
 
 
@@ -336,19 +344,19 @@ def process_layer(cfg: RunConfig, vox: geometry.VoxelMesh, layer: int) -> LayerR
     )
 
 
-def _read_mesh(path: str) -> geometry.TriangleMesh:
-    """The mesh in STL file `path`; a malformed file's error names it."""
+def _voxelize_stl(path: str, pitch) -> geometry.VoxelMesh:
+    """The voxel grid of the mesh in STL file `path`; a malformed file's
+    error, or one whose mesh spans no voxel at `pitch`, names it."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        return geometry.parse_stl(data)
-    except (DataError, ParameterError) as exc:  # ParameterError: no or non-finite triangles
+        return geometry.voxelize(geometry.parse_stl(data), pitch)
+    except (DataError, ParameterError) as exc:  # ParameterError: no, non-finite or flat triangles
         raise DataError(f"{path}: {exc}") from exc
 
 
 def _voxelize_config(cfg: RunConfig) -> geometry.VoxelMesh:
-    mesh = _read_mesh(cfg._resolve(cfg.stl))
-    return geometry.voxelize(mesh, (cfg.pitch_x_um, cfg.pitch_y_um, cfg.pitch_z_um))
+    return _voxelize_stl(cfg._resolve(cfg.stl), (cfg.pitch_x_um, cfg.pitch_y_um, cfg.pitch_z_um))
 
 
 def _layer_range(cfg: RunConfig, vox: geometry.VoxelMesh) -> range:
@@ -559,12 +567,11 @@ def _cmd_calibrate_thermal(args) -> int:
 
 
 def _cmd_voxelize(args) -> int:
-    mesh = _read_mesh(args.stl)
     try:
         pitch = tuple(_parse_pitch(args.pitch).values())
     except ValueError as exc:
         raise ConfigError(f"bad --pitch {args.pitch!r}: {exc}") from exc
-    vox = geometry.voxelize(mesh, pitch)
+    vox = _voxelize_stl(args.stl, pitch)
     nx, ny, nz = vox.dims
     print(f"grid: {nx} x {ny} x {nz} voxels at {pitch} um")
     print(f"occupied: {vox.occupied_count()}")

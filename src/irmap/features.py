@@ -242,15 +242,6 @@ def max_predeposition(
     )
 
 
-def _grown_box(px: np.ndarray, grow: int) -> tuple[slice, slice]:
-    """Bounding box of the set pixels grown by `grow` px, clipped to the grid."""
-    rows, cols = np.flatnonzero(px.any(axis=1)), np.flatnonzero(px.any(axis=0))
-    return (
-        slice(max(0, int(rows[0]) - grow), int(rows[-1]) + grow + 1),
-        slice(max(0, int(cols[0]) - grow), int(cols[-1]) + grow + 1),
-    )
-
-
 def spatter_frame_filter(
     frame_counts: np.ndarray, gate_mask: np.ndarray, floor_sigmas: float = 6.0
 ) -> tuple[np.ndarray | None, LabelGrid]:
@@ -309,13 +300,12 @@ def spatter_frame_filter(
     labels = empty.labels
     kept = 0
     for lbl in survivors:
-        box = _grown_box(raw.labels == lbl, 3)  # holds the whole ring
-        px = raw.labels[box] == lbl
+        px = raw.labels == lbl
         ring = imageops.dilate_disk(px, 3) & ~imageops.dilate_disk(px, 1)
-        if ring.any() and float(frame[box][ring].mean()) > baseline + 2.0 * sigma_est:
+        if ring.any() and float(frame[ring].mean()) > baseline + 2.0 * sigma_est:
             continue
         kept += 1
-        labels[box][px] = kept
+        labels[px] = kept
     return scan_mask, LabelGrid(labels=labels, count=kept)
 
 
@@ -333,7 +323,7 @@ def spatter_layer(
     stack: LayerStack,
     scan_order: FeatureMap,
     profile: CalibrationProfile,
-    params: FeatureParams | None = None,
+    params: FeatureParams,
 ) -> tuple[FeatureMap, FeatureMap, list[SpatterRecord]]:
     """Spatter generation (credited to the laser location) and landing maps.
 
@@ -344,7 +334,6 @@ def spatter_layer(
     are disjoint, so no pixel is counted twice and the landing map is the
     registry itself, 0 or 1 per pixel.
     """
-    params = params or FeatureParams()
     s = _scan_frames(scan_order)
     generation = np.zeros(stack.shape)
     registry = np.zeros(stack.shape, dtype=bool)
@@ -497,7 +486,7 @@ def extract_layer(
     stack: LayerStack,
     profile: CalibrationProfile,
     mask: LayerMask,
-    params: FeatureParams | None = None,
+    params: FeatureParams,
 ) -> LayerFeatures:
     """Run every extractor on the stack's window and keep each feature's
     values at the mask's pixels. All feature ids are always present."""
@@ -510,7 +499,6 @@ def extract_layer(
             f"layer {stack.layer}: part pixels fall outside the {w}x{h} px stack "
             f"window at camera (row, col) {stack.origin}"
         )
-    params = params or FeatureParams()
     intensity, order = heat_intensity_and_scan_order(stack, profile)
     ip = interpass(stack, profile)
     maps = [

@@ -120,20 +120,6 @@ def median(a) -> float:
     return float((part[:k].max() + part[k]) / 2) + 0.0
 
 
-def _uniform_histogram(a: np.ndarray, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """`np.histogram(a, OTSU_BINS, range=(lo, hi))` for a flat float64 `a`
-    inside [lo, hi]: the same edges and the same bin of every value."""
-    if lo == hi:
-        lo, hi = lo - 0.5, hi + 0.5
-    edges = np.linspace(lo, hi, OTSU_BINS + 1)
-    idx = ((a - lo) / (hi - lo) * OTSU_BINS).astype(np.intp)
-    idx[idx == OTSU_BINS] -= 1
-    # the scaled index can be one bin off within ~1 ULP of an edge
-    idx[a < edges[idx]] -= 1
-    idx[(a >= edges[idx + 1]) & (idx != OTSU_BINS - 1)] += 1
-    return np.bincount(idx, minlength=OTSU_BINS), edges
-
-
 def otsu_thresholds(img) -> list[float]:
     """The two-class threshold maximizing between-class variance over a
     256-bin histogram, as a one-element list.
@@ -143,7 +129,7 @@ def otsu_thresholds(img) -> list[float]:
     """
     a = _as_grid(img).ravel()
     lo, hi = float(a.min()), float(a.max())
-    hist, edges = _uniform_histogram(a, lo, hi)
+    hist, edges = np.histogram(a, OTSU_BINS, range=(lo, hi))
     if np.count_nonzero(hist) < 2:
         raise DegenerateHistogramError(
             "histogram has a single occupied bin; no threshold separates two classes"
@@ -275,15 +261,13 @@ def dilate_disk(binary: np.ndarray, radius: int) -> np.ndarray:
     vertical shifts: 4r slice-ORs for radius r.
     """
     b = np.asarray(binary, dtype=bool)
-    if radius <= 0:
-        return b.copy()
     spans = [b]  # spans[k]: b dilated by the row span [-k, k]
     for k in range(1, radius + 1):
         s = spans[-1].copy()
         s[:, k:] |= b[:, :-k]
         s[:, :-k] |= b[:, k:]
         spans.append(s)
-    out = spans[radius].copy()
+    out = spans[-1].copy()  # b itself for a radius <= 0
     for dy in range(1, radius + 1):
         s = spans[math.isqrt(radius * radius - dy * dy)]
         out[dy:] |= s[:-dy]

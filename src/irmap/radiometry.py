@@ -13,7 +13,6 @@ import configparser
 import io
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 from operator import attrgetter
 
 import numpy as np
@@ -82,15 +81,10 @@ def _validate_eps(eps) -> None:
         raise ParameterError("emissivity must be in (0, 1]")
 
 
-@lru_cache(maxsize=64)
-def _reflected_signal(model: RadianceModel, reflected_temperature_c: float):
-    return model.signal(reflected_temperature_c)
-
-
 def background_counts(eps, profile: CalibrationProfile):
     """Non-object term: reflected ambient through the window plus window glow."""
     tau = profile.window_transmission
-    s_refl = _reflected_signal(profile.model, profile.reflected_temperature_c)
+    s_refl = profile.model.signal(profile.reflected_temperature_c)
     s_win = s_refl  # window assumed at the reflected/ambient temperature
     b = np.subtract(1.0, eps, dtype=np.float64)
     out = b if b.ndim else None  # an array is worked in place; a scalar is immutable

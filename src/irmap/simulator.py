@@ -63,10 +63,12 @@ class ThermalParams:
     def __post_init__(self):
         if not np.all(np.asarray(self.ambient_c) > -KELVIN_OFFSET):  # a NaN fails too
             raise ParameterError(f"ambient_c must be above {-KELVIN_OFFSET} degC")
+        if not self.peak_c > np.max(self.ambient_c):  # a NaN fails too
+            raise ParameterError(f"peak_c must be above ambient_c, got {self.peak_c:g}")
         if self.footprint_px < 1.0:
-            raise ParameterError("footprint must be at least 1 px")
+            raise ParameterError("footprint_px must be at least 1 px")
         if self.decay_s <= 0:
-            raise ParameterError("decay must be positive")
+            raise ParameterError("decay_s must be positive")
 
     @property
     def sigma_px(self) -> float:
@@ -271,8 +273,8 @@ def render_frames(
     dims: tuple[int, int],
     thermal: ThermalParams,
     profile: CalibrationProfile,
-    spatters: list[SpatterEvent] | None = None,
-    window: tuple[slice, slice] | None = None,
+    spatters: list[SpatterEvent],
+    window: tuple[slice, slice],
     noise_percent: float = 0.0,
     fps: float = 30.0,
     prescan_frames: int = 3,
@@ -284,16 +286,15 @@ def render_frames(
 
     The emissivity of each pixel flips from powder to as-printed after the
     frame in which its true temperature peaks. Only the camera pixels in
-    `window` (rows, cols; default the whole frame) are rendered, and at noise
-    0 each holds the value a whole-frame render gives it; the ground truth is
-    kept on the window too. Camera noise is Gaussian with a standard
-    deviation of noise_percent of the rendered count range, drawn from `seed`
-    over the window. The frames are the noisy counts quantized once to u16 by
-    `store.quantize_counts`, as a stack file holds them.
+    `window` (rows, cols) are rendered, and at noise 0 each holds the value a
+    whole-frame render gives it; the ground truth is kept on the window too.
+    Camera noise is Gaussian with a standard deviation of noise_percent of
+    the rendered count range, drawn from `seed` over the window. The frames
+    are the noisy counts quantized once to u16 by `store.quantize_counts`, as
+    a stack file holds them.
     """
     w, h = dims
-    spatters = list(spatters or [])
-    rows, cols = window or (slice(0, h), slice(0, w))
+    rows, cols = window
     origin = (rows.start, cols.start)
     amb = np.broadcast_to(np.asarray(thermal.ambient_c, dtype=np.float64), (h, w)).copy()
 
@@ -362,8 +363,8 @@ def make_spatter_schedule(
     path: ScanPath,
     mask: LayerMask,
     count: int,
-    peak_dt_c: float = 250.0,
-    decay_s: float = 0.15,
+    peak_dt_c: float,
+    decay_s: float,
     fps: float = 30.0,
     prescan_frames: int = 3,
     seed: int = 0,

@@ -290,15 +290,14 @@ def write_layer_stack(path, frames, fps: float = 30.0) -> None:
         f.write(STACK_MAGIC + struct.pack("<IIIIfI", STACK_VERSION, *shape[::-1], n, fps, 0))
 
 
-def read_layer_stack(path, window=None, frame_dims=None):
+def read_layer_stack(path, window, frame_dims):
     """Read a layer stack file; returns (frames u16, fps).
 
-    `window` (rows, cols; default the whole frame) selects the pixels kept:
-    each frame's window rows are read at full width into one reused buffer
-    and the window's columns copied out, so a caller that keeps the part
-    window holds that window and one row band per frame, never the file.
-    `frame_dims`, when given, is the (width, height) the file's frames must
-    have.
+    `window` (rows, cols) selects the pixels kept: each frame's window rows
+    are read at full width into one reused buffer and the window's columns
+    copied out, so a caller that keeps the part window holds that window and
+    one row band per frame, never the file. `frame_dims` is the (width,
+    height) the file's frames must have.
     """
     with open(path, "rb", buffering=0) as f:
         header = f.read(28)
@@ -316,7 +315,7 @@ def read_layer_stack(path, window=None, frame_dims=None):
             raise StoreFormatError(f"stack declares {n} frames, need at least 1")
         if not 0.0 < fps < np.inf:
             raise StoreFormatError(f"stack frame rate {fps} is not a positive number")
-        if frame_dims is not None and (w, h) != tuple(frame_dims):
+        if (w, h) != tuple(frame_dims):
             raise StoreFormatError(
                 f"frames are {w}x{h} px, expected {frame_dims[0]}x{frame_dims[1]}"
             )
@@ -325,7 +324,7 @@ def read_layer_stack(path, window=None, frame_dims=None):
             raise StoreCorruptionError(
                 f"stack truncated: {size} bytes, expected {expected}", offset=size
             )
-        rows, cols = window or (slice(0, h), slice(0, w))
+        rows, cols = window
         if not (0 <= rows.start < rows.stop <= h and 0 <= cols.start < cols.stop <= w):
             raise ParameterError(f"window {rows}, {cols} is not inside the {w}x{h} px frames")
         band = np.empty((rows.stop - rows.start, w), dtype="<u2")

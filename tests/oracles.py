@@ -42,7 +42,6 @@ from irmap.features import (
     FeatureParams,
     LayerStack,
     SpatterRecord,
-    _grown_box,
     _scan_frames,
     _to_temperature,
     activity_threshold,
@@ -310,6 +309,17 @@ def first_visit_frames(path, dims, fps: float = 30.0, prescan_frames: int = 3) -
     for k in range(len(path) - 1, -1, -1):
         first[iy[k], ix[k]] = fr[k]
     return first
+
+
+def _grown_box(px: np.ndarray, grow: int) -> tuple[slice, slice]:
+    """Bounding box of the set pixels grown by `grow` px, clipped to the grid:
+    the oracle takes each cluster's isolation ring inside it, where
+    `features.spatter_frame_filter` takes it over the whole window."""
+    rows, cols = np.flatnonzero(px.any(axis=1)), np.flatnonzero(px.any(axis=0))
+    return (
+        slice(max(0, int(rows[0]) - grow), int(rows[-1]) + grow + 1),
+        slice(max(0, int(cols[0]) - grow), int(cols[-1]) + grow + 1),
+    )
 
 
 def spatter_frame_filter(frame_counts, floor_sigmas: float = 6.0):

@@ -217,15 +217,6 @@ class TestOtsu:
                 continue
             assert imageops.otsu_thresholds(img) == oracles.otsu_thresholds(img)
 
-    def test_bins_match_numpy_histogram(self, rng):
-        for img in _otsu_images(rng):
-            a = img.ravel().astype(np.float64)
-            lo, hi = float(a.min()), float(a.max())
-            hist, edges = imageops._uniform_histogram(a, lo, hi)
-            want_hist, want_edges = np.histogram(a, bins=imageops.OTSU_BINS, range=(lo, hi))
-            assert hist.tobytes() == want_hist.tobytes()
-            assert edges.tobytes() == want_edges.tobytes()
-
     @pytest.mark.parametrize("img", [np.full((8, 8), 3.0), np.zeros((1, 1)), np.full((1, 5), -2.5)])
     def test_degenerate_histogram_raises_like_oracle(self, img):
         with pytest.raises(DegenerateHistogramError):

@@ -47,6 +47,19 @@ spatter_count = 0
 """
 
 
+# one triangle in the z = 0 plane: a part of zero height
+FLAT_STL = b"""solid flat
+facet normal 0 0 1
+outer loop
+vertex 0 0 0
+vertex 3.6 0 0
+vertex 3.6 3.6 0
+endloop
+endfacet
+endsolid flat
+"""
+
+
 # every config key, each set to a value other than its default
 FULL_CONFIG = """\
 [run]
@@ -185,10 +198,12 @@ class TestExitCodes:
             ([], ("360,360,40", "0,360,40"), "geometry.pitch_um"),
             ([], ("360,360,40", "360,nan,40"), "geometry.pitch_um"),
             ([], ("360,360,40", "360,370,40"), "[geometry] pitch_um x and y must be equal"),
-            ([], ("fps = 30", "fps = 0"), "fps must be a positive number"),
-            ([], ("origin_x = 32", "origin_x = 64"), "origin pixel outside frame dims"),
-            ([], ("[camera]", "[scan]\nhatch_um = 0\n[camera]"), "hatch_um must be positive"),
-            ([], ("[camera]", "[thermal]\nfootprint_px = 0.5\n[camera]"), "footprint must be at least 1 px"),
+            ([], ("fps = 30", "fps = 0"), "[camera] fps must be a positive number"),
+            ([], ("origin_x = 32", "origin_x = 64"), "[camera] origin pixel outside frame dims"),
+            ([], ("[camera]", "[scan]\nhatch_um = 0\n[camera]"), "[scan] hatch_um must be positive"),
+            ([], ("[camera]", "[thermal]\nfootprint_px = 0.5\n[camera]"), "[thermal] footprint_px must be at least 1 px"),
+            ([], ("[camera]", "[thermal]\ndecay_s = 0\n[camera]"), "[thermal] decay_s must be positive"),
+            ([], ("noise_percent = 1.0", "noise_percent = 200"), "[simulation] noise_percent must be in [0, 100]"),
             ([], ("prescan_frames = 3", "prescan_frames = -1"), "[simulation] prescan_frames must be at least 0"),
             ([], ("tail_frames = 35", "tail_frames = -5"), "[simulation] tail_frames must be at least 0"),
             ([], ("spatter_count = 0", "spatter_count = -1"), "[simulation] spatter_count must be at least 0"),
@@ -206,7 +221,21 @@ class TestExitCodes:
                 "[features] spatter_floor_sigmas must be a finite number",
             ),
             ([], ("fps = 30", "fps = inf"), "[camera] fps must be a finite number"),
-            ([], ("[camera]", "[thermal]\nambient_c = -300\n[camera]"), "ambient_c must be above -273.15 degC"),
+            ([], ("[camera]", "[thermal]\nambient_c = -300\n[camera]"), "[thermal] ambient_c must be above -273.15 degC"),
+            ([], ("[camera]", "[thermal]\npeak_c = -300\n[camera]"), "[thermal] peak_c must be above ambient_c"),
+            ([], ("[camera]", "[thermal]\npeak_c = 50\n[camera]"), "[thermal] peak_c must be above ambient_c"),
+            ([], ("seed = 7", "seed = -1"), "[run] seed must be at least 0"),
+            (["--seed", "-1"], None, "[run] seed must be at least 0"),
+            (
+                [],
+                ("spatter_count = 0", "spatter_count = 2\nspatter_peak_dt_c = -5"),
+                "[simulation] spatter_peak_dt_c must be positive",
+            ),
+            (
+                [],
+                ("spatter_count = 0", "spatter_count = 2\nspatter_decay_s = 0"),
+                "[simulation] spatter_decay_s must be positive",
+            ),
         ],
         ids=[
             "jobs-zero",
@@ -221,6 +250,8 @@ class TestExitCodes:
             "origin-outside-frame",
             "hatch-zero",
             "footprint-below-1-px",
+            "decay-zero",
+            "noise-above-100",
             "prescan-negative",
             "tail-negative",
             "spatter-count-negative",
@@ -235,6 +266,12 @@ class TestExitCodes:
             "spatter-floor-nan",
             "fps-inf",
             "ambient-below-absolute-zero",
+            "peak-below-absolute-zero",
+            "peak-below-ambient",
+            "seed-negative",
+            "seed-flag-negative",
+            "spatter-peak-negative",
+            "spatter-decay-zero",
         ],
     )
     def test_bad_config_value(self, mini_build, capsys, flags, ini_edit, message):
@@ -259,8 +296,9 @@ class TestExitCodes:
             (bytes(80) + struct.pack("<I", 0), "mesh must contain at least one triangle"),
             (bytes(80) + struct.pack("<I", 2) + bytes(60), "binary STL declares 2 triangles"),
             (b"solid x\nfacet normal 0 0 1\nvertex 0 0\n", "line 3: vertex needs 3 coordinates"),
+            (FLAT_STL, "empty voxel grid dims (10, 10, 0)"),
         ],
-        ids=["seven-bytes", "no-triangles", "truncated", "bad-ascii-vertex"],
+        ids=["seven-bytes", "no-triangles", "truncated", "bad-ascii-vertex", "zero-height"],
     )
     @pytest.mark.parametrize("command", ["voxelize", "extract"])
     def test_bad_stl_names_the_file(self, mini_build, capsys, command, data, message):
@@ -486,7 +524,8 @@ class TestPipeline:
         assert (frames / "layer_0000.spatter.csv").exists()
 
         # the file holds the in-memory window render, on ambient powder
-        on_disk, _ = read_layer_stack(str(frames / "layer_0000.irfs"))
+        whole = (slice(0, 64), slice(0, 64))  # the 64x64 camera frame
+        on_disk, _ = read_layer_stack(str(frames / "layer_0000.irfs"), whole, (64, 64))
         run = load_config(cfg)
         stack, _, _ = cli._simulate_layer(run, cli._voxelize_config(run), 0)
         (y0, x0), (h, w) = stack.origin, stack.shape

@@ -55,8 +55,8 @@ def rendered_window(profile, noise_percent=1.0):
     mask = box_layer(7.2, (32.0, 24.0), (64, 48))
     path = generate_scan_path(mask, ScanParameters(), 0)
     stack, _ = render_frames(
-        path, (64, 48), ThermalParams(), profile,
-        window=mask.window(WINDOW_PAD), noise_percent=noise_percent, seed=3,
+        path, (64, 48), ThermalParams(), profile, [], mask.window(WINDOW_PAD),
+        noise_percent=noise_percent, seed=3,
     )
     return mask, stack
 
@@ -176,7 +176,8 @@ class TestMatchLoopOracles:
         path = str(tmp_path / "layer_0000.irfs")
         window = rendered_window(profile)[1]
         write_layer_stack(path, window.frames, window.fps)
-        frames, fps = read_layer_stack(path)
+        (h, w) = window.shape
+        frames, fps = read_layer_stack(path, (slice(0, h), slice(0, w)), (w, h))
         assert frames.dtype == np.dtype("<u2")
         self.assert_same(LayerStack(frames, fps), profile)
 
@@ -346,12 +347,12 @@ class TestExtractLayer:
         for t, (y, x) in enumerate([(4, 4), (4, 5), (5, 4), (5, 5)]):
             frames[10 + t, y, x] = hot
         stack = LayerStack(frames=frames, fps=30.0)
-        result = extract_layer(stack, profile, box_layer(0.72, (4.0, 4.0), (16, 16)))
+        result = extract_layer(stack, profile, box_layer(0.72, (4.0, 4.0), (16, 16)), FeatureParams())
         assert set(result.maps) == set(FeatureId)
 
     def test_values_kept_at_part_pixels(self, profile):
         mask, stack = rendered_window(profile)
-        result = extract_layer(stack, profile, mask)
+        result = extract_layer(stack, profile, mask, FeatureParams())
         part = mask.pixel_mask()
         for fid, values in result.values.items():
             assert values.shape == (len(mask),) and values.dtype == np.float64
@@ -369,7 +370,7 @@ class TestExtractLayer:
         frames = np.zeros((1, rows.stop - rows.start, cols.stop - cols.start))
         origin = (rows.start + shift[0], cols.start + shift[1])
         with pytest.raises(ParameterError, match="outside"):
-            extract_layer(LayerStack(frames, origin=origin), profile, mask)
+            extract_layer(LayerStack(frames, origin=origin), profile, mask, FeatureParams())
 
     # with noise, the interpass field and both Laplacians vary across the part
     @pytest.mark.parametrize("noise_percent", [0.0, 1.0])
@@ -379,15 +380,16 @@ class TestExtractLayer:
         mask = layer_mask(vox, 0, reg)
         path = generate_scan_path(mask, ScanParameters(), 0)
         whole, _ = render_frames(
-            path, (64, 48), ThermalParams(), profile, noise_percent=noise_percent, seed=3
+            path, (64, 48), ThermalParams(), profile, [], (slice(0, 48), slice(0, 64)),
+            noise_percent=noise_percent, seed=3,
         )
         rows, cols = mask.window(WINDOW_PAD)
         assert (rows, cols) == (slice(3, 47), slice(11, 55))  # inside the 64x48 frame
         part = LayerStack(
             frames=whole.frames[:, rows, cols], fps=whole.fps, origin=(rows.start, cols.start)
         )
-        a = extract_layer(whole, profile, mask).maps
-        b = extract_layer(part, profile, mask).maps
+        a = extract_layer(whole, profile, mask, FeatureParams()).maps
+        b = extract_layer(part, profile, mask, FeatureParams()).maps
         # spatter detection thresholds on statistics of the whole searched area
         spatter = {FeatureId.SPATTER_GENERATION, FeatureId.SPATTER_LANDING}
         for fid in sorted(set(FeatureId) - spatter):

@@ -171,17 +171,6 @@ class TestOneExpressionOracles:
         with pytest.raises(ParameterError, match="positive"):
             profile.model.temperature(np.array([1.0, 0.0]))
 
-    def test_reflected_signal_is_computed_once_per_profile(self, monkeypatch):
-        radiometry._reflected_signal.cache_clear()
-        prof = CalibrationProfile(reflected_temperature_c=31.0)
-        calls = []
-        real = RadianceModel.signal
-        monkeypatch.setattr(RadianceModel, "signal", lambda self, t: calls.append(t) or real(self, t))
-        for _ in range(3):
-            forward_counts(500.0, 0.63, prof)
-            background_counts(0.21, replace(prof, emissivity_powder=0.5))
-        assert calls.count(31.0) == 1
-
 
 class TestFits:
     def make_samples(self, eps, profile, temps=None):

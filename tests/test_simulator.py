@@ -20,6 +20,9 @@ from irmap.simulator import (
 from irmap.store import quantize_counts
 
 
+WHOLE = (slice(0, 48), slice(0, 64))  # every pixel of the 64x48 camera frame
+
+
 def small_mask(size_mm=3.6, layer=0, origin_px=(32.0, 24.0)):
     vox = voxelize(box_mesh((size_mm, size_mm, 0.4)), (360.0, 360.0, 40.0))
     reg = PixelGridFrame(pitch_um=360.0, origin_px=origin_px, dims=(64, 48))
@@ -96,6 +99,13 @@ class TestThermalParams:
         with pytest.raises(ParameterError):
             ThermalParams(footprint_px=0.5)
 
+    @pytest.mark.parametrize(
+        "ambient, peak", [(80.0, 50.0), (80.0, 80.0), (80.0, -300.0), (np.array([[20.0, 1200.0]]), 1200.0)]
+    )
+    def test_peak_above_ambient(self, ambient, peak):
+        with pytest.raises(ParameterError, match="peak_c must be above ambient_c"):
+            ThermalParams(ambient_c=ambient, peak_c=peak)
+
     def test_sigma_from_fwhm(self):
         tp = ThermalParams(footprint_px=2.355)
         assert tp.sigma_px == pytest.approx(1.0, abs=0.01)
@@ -106,7 +116,7 @@ class TestRender:
         mask = small_mask()
         path = generate_scan_path(mask, ScanParameters(), 0)
         stack, truth = render_frames(
-            path, (64, 48), ThermalParams(), profile, noise_percent=0.0
+            path, (64, 48), ThermalParams(), profile, [], WHOLE, noise_percent=0.0
         )
         amb_counts = quantize_counts(forward_counts(80.0, profile.emissivity_powder, profile))
         for t in range(3):
@@ -116,21 +126,21 @@ class TestRender:
         mask = small_mask()
         path = generate_scan_path(mask, ScanParameters(), 0)
         a, _ = render_frames(
-            path, (64, 48), ThermalParams(), profile, noise_percent=25.0, seed=7
+            path, (64, 48), ThermalParams(), profile, [], WHOLE, noise_percent=25.0, seed=7
         )
         b, _ = render_frames(
-            path, (64, 48), ThermalParams(), profile, noise_percent=25.0, seed=7
+            path, (64, 48), ThermalParams(), profile, [], WHOLE, noise_percent=25.0, seed=7
         )
         assert np.array_equal(a.frames, b.frames)
         c, _ = render_frames(
-            path, (64, 48), ThermalParams(), profile, noise_percent=25.0, seed=8
+            path, (64, 48), ThermalParams(), profile, [], WHOLE, noise_percent=25.0, seed=8
         )
         assert not np.array_equal(a.frames, c.frames)
 
     def test_truth_scan_order_within_stack(self, profile):
         mask = small_mask()
         path = generate_scan_path(mask, ScanParameters(), 0)
-        stack, truth = render_frames(path, (64, 48), ThermalParams(), profile)
+        stack, truth = render_frames(path, (64, 48), ThermalParams(), profile, [], WHOLE)
         s = truth.true_scan_order
         dense = mask.pixel_mask()
         assert (s[dense] >= 3).all()
@@ -140,7 +150,7 @@ class TestRender:
     def test_peak_normalization(self, profile):
         mask = small_mask()
         path = generate_scan_path(mask, ScanParameters(), 0)
-        stack, truth = render_frames(path, (64, 48), ThermalParams(), profile)
+        stack, truth = render_frames(path, (64, 48), ThermalParams(), profile, [], WHOLE)
         peak = stack.frames.max()
         hot = forward_counts(1200.0, profile.emissivity_powder, profile)
         assert peak <= 65535.0
@@ -149,14 +159,14 @@ class TestRender:
     def test_window_matches_whole_frame(self, profile, near_spatter):
         mask = small_mask(size_mm=7.2)
         path = generate_scan_path(mask, ScanParameters(), 0)
-        sched = make_spatter_schedule(path, mask, 2, seed=5)
+        sched = make_spatter_schedule(path, mask, 2, 250.0, 0.15, seed=5)
         rows, cols = mask.window(WINDOW_PAD)
         assert (rows, cols) == (slice(3, 47), slice(11, 55))  # inside the 64x48 frame
         whole, whole_truth = render_frames(
-            path, (64, 48), ThermalParams(), profile, spatters=sched, noise_percent=0.0
+            path, (64, 48), ThermalParams(), profile, sched, WHOLE, noise_percent=0.0
         )
         part, part_truth = render_frames(
-            path, (64, 48), ThermalParams(), profile, spatters=sched, window=(rows, cols)
+            path, (64, 48), ThermalParams(), profile, sched, (rows, cols)
         )
         assert part.origin == (3, 11)
         assert np.array_equal(part.frames, whole.frames[:, rows, cols])
@@ -168,7 +178,7 @@ class TestRender:
         count, and the powder around it the powder ambient count."""
         mask = small_mask()
         path = generate_scan_path(mask, ScanParameters(), 0)
-        stack, _ = render_frames(path, (64, 48), ThermalParams(), profile, noise_percent=0.0)
+        stack, _ = render_frames(path, (64, 48), ThermalParams(), profile, [], WHOLE, noise_percent=0.0)
         dense = mask.pixel_mask()
         last = stack.frames[-1]
         assert last.shape == dense.shape  # a whole-frame render's window is the frame
@@ -187,8 +197,8 @@ class TestSpatterSchedule:
         path = generate_scan_path(mask, cfg.scan_params(), top)
         assert len(mask) == 0 and len(path) == 0
         with pytest.raises(ParameterError, match=f"layer {top}: the scan path is empty"):
-            make_spatter_schedule(path, mask, cfg.spatter_count)
-        assert make_spatter_schedule(path, mask, 0) == []
+            make_spatter_schedule(path, mask, cfg.spatter_count, 250.0, 0.15)
+        assert make_spatter_schedule(path, mask, 0, 250.0, 0.15) == []
 
     def test_unplaceable_schedule_fails_before_drawing(self, monkeypatch):
         mask = small_mask()  # scanned in a few frames: no pixel is 20 frames ahead of any emit frame
@@ -207,12 +217,12 @@ class TestSpatterSchedule:
 
         monkeypatch.setattr(np.random, "default_rng", NoDraws)
         with pytest.raises(ParameterError, match="^layer 0: could only place 0 of 4 spatter events$"):
-            make_spatter_schedule(path, mask, 4)
+            make_spatter_schedule(path, mask, 4, 250.0, 0.15)
 
     def test_events_land_ahead_of_laser(self, profile, near_spatter):
         mask = small_mask(size_mm=7.2)
         path = generate_scan_path(mask, ScanParameters(), 0)
-        sched = make_spatter_schedule(path, mask, 3, seed=5)
+        sched = make_spatter_schedule(path, mask, 3, 250.0, 0.15, seed=5)
         assert len(sched) == 3
         first = oracles.first_visit_frames(path, (64, 48))
         for ev in sched:
@@ -222,11 +232,9 @@ class TestSpatterSchedule:
     def test_spike_visible_in_frames(self, profile, near_spatter):
         mask = small_mask(size_mm=7.2)
         path = generate_scan_path(mask, ScanParameters(), 0)
-        sched = make_spatter_schedule(path, mask, 1, peak_dt_c=400.0, seed=5)
-        with_sp, _ = render_frames(
-            path, (64, 48), ThermalParams(), profile, spatters=sched
-        )
-        without, _ = render_frames(path, (64, 48), ThermalParams(), profile)
+        sched = make_spatter_schedule(path, mask, 1, 400.0, 0.15, seed=5)
+        with_sp, _ = render_frames(path, (64, 48), ThermalParams(), profile, sched, WHOLE)
+        without, _ = render_frames(path, (64, 48), ThermalParams(), profile, [], WHOLE)
         ev = sched[0]
         x, y = ev.landing_px
         delta = with_sp.frames[ev.emit_frame, y, x] - without.frames[ev.emit_frame, y, x]
@@ -253,7 +261,7 @@ def _oracle_cases():
     off = ScanPath(
         np.array([-20.0, -20.5, 3.0]), np.array([5.0, 5.0, 49.0]), np.array([0.001, 0.002, 0.05]), 0.09
     )
-    return {
+    cases = {
         "whole frame": (path, {}),
         "window": (path, {"window": mask.window(WINDOW_PAD), "spatters": pair}),
         "clipped at the window edge": (path, {"window": mask.window(0), "spatters": last}),
@@ -263,6 +271,7 @@ def _oracle_cases():
         "empty path": (empty, {"spatters": pair}),
         "squares off the frame": (off, {}),
     }
+    return {name: (p, {"spatters": [], "window": WHOLE, **kw}) for name, (p, kw) in cases.items()}
 
 
 class TestRenderOracle:
@@ -391,8 +400,8 @@ class TestSpatterScheduleOracle:
                     )
                 except ParameterError as exc:
                     with pytest.raises(ParameterError, match=str(exc)):
-                        make_spatter_schedule(path, mask, 3, seed=seed)
+                        make_spatter_schedule(path, mask, 3, 250.0, 0.15, seed=seed)
                 else:
-                    assert make_spatter_schedule(path, mask, 3, seed=seed) == want, name
+                    assert make_spatter_schedule(path, mask, 3, 250.0, 0.15, seed=seed) == want, name
                     placed += 1
         assert placed >= 30  # of 40

@@ -14,6 +14,7 @@ from irmap.features import (
     NEAR_LASER_PX,
     WINDOW_PAD,
     FeatureId,
+    FeatureParams,
     FeatureMap,
     LayerStack,
     _scan_frames,
@@ -37,7 +38,7 @@ from irmap.simulator import (
 
 def assert_same_spatter(stack, order, profile):
     """The detector equals the oracle byte for byte; returns its records."""
-    gen, land, records = spatter_layer(stack, order, profile)
+    gen, land, records = spatter_layer(stack, order, profile, FeatureParams())
     o_gen, o_land, o_records = oracles.spatter_layer(stack, order, profile)
     for got, want in ((gen, o_gen), (land, o_land)):
         assert got.grid.tobytes() == want.grid.tobytes()
@@ -48,7 +49,7 @@ def assert_same_spatter(stack, order, profile):
 
 def landing_pixels(stack, order, profile):
     """The (y, x) window pixels that the SPATTER_LANDING map marks."""
-    _, land, _ = spatter_layer(stack, order, profile)
+    _, land, _ = spatter_layer(stack, order, profile, FeatureParams())
     return set(map(tuple, np.argwhere(land.grid > 0).tolist()))
 
 
@@ -86,10 +87,10 @@ class TestRenderedWindows:
         path = generate_scan_path(mask, ScanParameters(), 0)
         monkeypatch.setattr(simulator, "MIN_LEAD_FRAMES", 5)
         monkeypatch.setattr(simulator, "CLEARANCE_PX", 4.0)
-        sched = make_spatter_schedule(path, mask, 2, seed=seed)
+        sched = make_spatter_schedule(path, mask, 2, 250.0, 0.15, seed=seed)
         stack, _ = render_frames(
-            path, (96, 64), ThermalParams(), profile, spatters=sched,
-            window=mask.window(WINDOW_PAD), noise_percent=1.0, seed=seed,
+            path, (96, 64), ThermalParams(), profile, sched, mask.window(WINDOW_PAD),
+            noise_percent=1.0, seed=seed,
         )
         _, order = heat_intensity_and_scan_order(stack, profile)
         assert assert_same_spatter(stack, order, profile)  # the spatters are found
@@ -104,7 +105,7 @@ class TestRenderedWindows:
             "gaussian_gradient_magnitude",
             lambda *a: grad_calls.append(1) or real_grad(*a),
         )
-        spatter_layer(stack, order, profile)
+        spatter_layer(stack, order, profile, FeatureParams())
         lit = sum(float(f.max()) > activity_threshold(profile) for f in stack.frames)
         assert 0 < len(grad_calls) < lit  # some lit frames exit early, not all
 
@@ -125,7 +126,7 @@ class TestNearLaserMask:
         mask = layer_mask(vox, 0, PixelGridFrame(pitch_um=360.0, origin_px=(48.0, 32.0), dims=(96, 64)))
         stack, _ = render_frames(
             generate_scan_path(mask, ScanParameters(), 0), (96, 64), ThermalParams(), profile,
-            window=mask.window(WINDOW_PAD), noise_percent=1.0,
+            [], mask.window(WINDOW_PAD), noise_percent=1.0,
         )
         yield _scan_frames(heat_intensity_and_scan_order(stack, profile)[1]), len(stack)
         cfg = cli.load_config(cli.write_demo(str(tmp_path)))
@@ -209,7 +210,7 @@ class TestEdgeCases:
         assert spatter_frame_filter(cooled, near | (counted.labels > 0))[0] is None
 
         stack = LayerStack(np.stack([np.full(shape, frame.min()), frame, cooled]))
-        gen, _, records = spatter_layer(stack, order_map(s), profile)
+        gen, _, records = spatter_layer(stack, order_map(s), profile, FeatureParams())
         assert_same_spatter(stack, order_map(s), profile)
         assert len(records) == 1 and (gen.grid[s == 1] == 1).all()  # counted once, in frame 1
         assert landing_pixels(stack, order_map(s), profile) == set(
@@ -222,7 +223,7 @@ class TestEdgeCases:
             "gaussian_gradient_magnitude",
             lambda *a: grad_calls.append(1) or real_grad(*a),
         )
-        spatter_layer(stack, order_map(s), profile)
+        spatter_layer(stack, order_map(s), profile, FeatureParams())
         assert len(grad_calls) == 1  # frame 2 exits early
 
     def test_degenerate_gradient_histogram(self, profile):
@@ -261,6 +262,6 @@ class TestEdgeCases:
         stack = LayerStack(np.full((20, 16, 16), c))
         s = np.full((16, 16), -1)
         s[4:8, 4:8] = 5
-        gen, land, records = spatter_layer(stack, order_map(s), profile)
+        gen, land, records = spatter_layer(stack, order_map(s), profile, FeatureParams())
         assert records == [] and not gen.grid.any() and not land.grid.any()
         assert assert_same_spatter(stack, order_map(s), profile) == []

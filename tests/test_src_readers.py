@@ -16,6 +16,11 @@ the package.
   a call whose callee name matches sets it, by keyword or by a positional
   argument at or past its index; an exception's `__init__` is matched to calls
   of its class. A call that passes `*args` or `**kwargs` sets every parameter.
+- A parameter or dataclass field whose default is `None` is taken when some
+  call whose callee name matches leaves it out; a call that passes `*args` or
+  `**kwargs` leaves nothing out. A dataclass is matched to calls of its class,
+  and a `cls(...)` call in a classmethod is a call of its class. A `None`
+  fallback that no such call takes is a second code path for unit tests only.
 """
 
 import ast
@@ -80,16 +85,23 @@ def test_every_src_name_has_a_reader():
     assert not unread, f"no reader in src/irmap, bench/ or the acceptance tests: {unread}"
 
 
-def dataclass_fields(tree: ast.Module):
-    """(class name, field name) of each field of each top-level dataclass."""
+def _dataclasses(tree: ast.Module):
+    """(class name, its field statements in order) of each top-level dataclass."""
     for node in tree.body:
         if isinstance(node, ast.ClassDef) and any(
             _name(d.func if isinstance(d, ast.Call) else d) == "dataclass"
             for d in node.decorator_list
         ):
-            for stmt in node.body:
-                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-                    yield node.name, stmt.target.id
+            yield node.name, [
+                s for s in node.body if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)
+            ]
+
+
+def dataclass_fields(tree: ast.Module):
+    """(class name, field name) of each field of each top-level dataclass."""
+    for cls, stmts in _dataclasses(tree):
+        for stmt in stmts:
+            yield cls, stmt.target.id
 
 
 def read_fields(tree: ast.Module) -> tuple[set[str], set[str]]:
@@ -119,10 +131,10 @@ def test_every_dataclass_field_has_a_reader():
 
 
 def defaulted_parameters(tree: ast.Module):
-    """(qualified name, callee name, parameter, positional index or None) of
-    each defaulted parameter of each top-level function and method. A method's
-    index counts from its first argument after `self`; a keyword-only
-    parameter has no index."""
+    """(qualified name, callee name, parameter, positional index or None,
+    default) of each defaulted parameter of each top-level function and
+    method. A method's index counts from its first argument after `self`; a
+    keyword-only parameter has no index."""
     exceptions = {"Exception"}  # and, in definition order, each class derived from one
     for node in tree.body:
         if isinstance(node, ast.FunctionDef):
@@ -142,35 +154,84 @@ def defaulted_parameters(tree: ast.Module):
 def _defaults(f: ast.FunctionDef, qualified: str, callee: str, skip: int):
     positional = f.args.posonlyargs + f.args.args
     first = len(positional) - len(f.args.defaults)
-    for i in range(first, len(positional)):
-        yield qualified, callee, positional[i].arg, i - skip
+    for i, default in enumerate(f.args.defaults, start=first):
+        yield qualified, callee, positional[i].arg, i - skip, default
     for arg, default in zip(f.args.kwonlyargs, f.args.kw_defaults):
         if default is not None:
-            yield qualified, callee, arg.arg, None
+            yield qualified, callee, arg.arg, None, default
 
 
 def set_parameters(tree: ast.Module):
-    """(callee name, keywords set, positional argument count, sets all) of each call."""
+    """(callee name, keywords set, positional argument count, sets all) of
+    each call; a `cls(...)` call in a classmethod is named after its class."""
+    own_class = {
+        id(call): node.name
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        for f in node.body
+        if isinstance(f, ast.FunctionDef) and any(_name(d) == "classmethod" for d in f.decorator_list)
+        for call in ast.walk(f)
+        if isinstance(call, ast.Call) and _name(call.func) == "cls"
+    }
     for node in ast.walk(tree):
         if isinstance(node, ast.Call) and _name(node.func):
             spread = any(isinstance(a, ast.Starred) for a in node.args) or any(
                 k.arg is None for k in node.keywords
             )
-            yield _name(node.func), {k.arg for k in node.keywords}, len(node.args), spread
+            callee = own_class.get(id(node), _name(node.func))
+            yield callee, {k.arg for k in node.keywords}, len(node.args), spread
 
 
-def test_every_defaulted_parameter_is_set_by_a_caller():
+def _calls() -> dict[str, list]:
+    """{callee name: [(keywords set, positional argument count, sets all)]}
+    over every reader."""
     calls: dict[str, list] = {}
     for tree in _trees():
         for callee, keywords, npos, spread in set_parameters(tree):
             calls.setdefault(callee, []).append((keywords, npos, spread))
+    return calls
+
+
+def test_every_defaulted_parameter_is_set_by_a_caller():
+    calls = _calls()
     unset = [
         f"{path.stem}.{qualified}({param})"
         for path in SRC
-        for qualified, callee, param, index in defaulted_parameters(_parse(path))
+        for qualified, callee, param, index, _ in defaulted_parameters(_parse(path))
         if not any(
             spread or param in keywords or (index is not None and npos > index)
             for keywords, npos, spread in calls.get(callee, [])
         )
     ]
     assert not unset, f"no call in src/irmap, bench/ or the acceptance tests sets: {unset}"
+
+
+def _is_none(node) -> bool:
+    return isinstance(node, ast.Constant) and node.value is None
+
+
+def none_defaults(tree: ast.Module):
+    """(qualified name, callee name, parameter, positional index or None) of
+    each parameter of a top-level function or method, and each field of a
+    top-level dataclass, whose default is `None`."""
+    for qualified, callee, param, index, default in defaulted_parameters(tree):
+        if _is_none(default):
+            yield qualified, callee, param, index
+    for cls, stmts in _dataclasses(tree):
+        for index, stmt in enumerate(stmts):
+            if _is_none(stmt.value):
+                yield f"{cls}.{stmt.target.id}", cls, stmt.target.id, index
+
+
+def test_every_none_default_is_taken():
+    calls = _calls()
+    untaken = [
+        f"{path.stem}.{qualified}({param})"
+        for path in SRC
+        for qualified, callee, param, index in none_defaults(_parse(path))
+        if not any(
+            not spread and param not in keywords and (index is None or npos <= index)
+            for keywords, npos, spread in calls.get(callee, [])
+        )
+    ]
+    assert not untaken, f"no call in src/irmap, bench/ or the acceptance tests leaves out: {untaken}"

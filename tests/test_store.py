@@ -272,12 +272,17 @@ class TestReduction:
         assert r2.ratio < r1.ratio
 
 
+def _read_whole(path, h: int, w: int):
+    """`read_layer_stack` of a file of w x h px frames, keeping every pixel."""
+    return read_layer_stack(str(path), (slice(0, h), slice(0, w)), (w, h))
+
+
 class TestLayerStack:
     def test_round_trip(self, tmp_path, rng):
         frames = rng.integers(0, 65535, size=(7, 12, 16)).astype(np.uint16)
         path = tmp_path / "layer_0000.irfs"
         write_layer_stack(str(path), frames, fps=30.0)
-        back, fps = read_layer_stack(str(path))
+        back, fps = _read_whole(path, 12, 16)
         assert fps == 30.0
         assert np.array_equal(back, frames)
         # the header's reserved last u32 (bytes 24..28) is always written as 0
@@ -305,32 +310,32 @@ class TestLayerStack:
             h, w = int(rng.integers(5, 12)), int(rng.integers(5, 12))
             frames = rng.integers(0, 65536, size=(n, h, w)).astype("<u2")
             write_layer_stack(str(path), frames)
-            whole, _ = read_layer_stack(str(path))
+            whole, _ = _read_whole(path, h, w)
             assert whole.dtype == np.dtype("<u2") and whole.tobytes() == frames.tobytes()
             # every corner, every edge, the middle and the whole frame
             spans = lambda size: [(0, 2), (1, size - 1), (size - 2, size), (0, size)]
             for r0, r1 in spans(h):
                 for c0, c1 in spans(w):
                     window = (slice(r0, r1), slice(c0, c1))
-                    part, _ = read_layer_stack(str(path), window)
+                    part, _ = read_layer_stack(str(path), window, (w, h))
                     assert part.dtype == np.dtype("<u2") and part.shape == (n, r1 - r0, c1 - c0)
                     assert part.tobytes() == frames[:, r0:r1, c0:c1].tobytes(), window
-            single, _ = read_layer_stack(str(path), (slice(h - 1, h), slice(w - 1, w)))
+            single, _ = read_layer_stack(str(path), (slice(h - 1, h), slice(w - 1, w)), (w, h))
             assert single.tobytes() == frames[:, -1:, -1:].tobytes()
 
     def test_frame_dims_checked(self, tmp_path):
         path = tmp_path / "layer_0000.irfs"
         write_layer_stack(str(path), np.ones((2, 3, 4)))
-        assert read_layer_stack(str(path), frame_dims=(4, 3))[0].shape == (2, 3, 4)
+        assert _read_whole(path, 3, 4)[0].shape == (2, 3, 4)
         with pytest.raises(StoreFormatError, match="frames are 4x3 px, expected 3x4"):
-            read_layer_stack(str(path), frame_dims=(3, 4))
+            _read_whole(path, 4, 3)
 
     @pytest.mark.parametrize("window", [(slice(0, 4), slice(0, 4)), (slice(1, 1), slice(0, 4))])
     def test_window_outside_the_frame_rejected(self, tmp_path, window):
         path = tmp_path / "layer_0000.irfs"
         write_layer_stack(str(path), np.ones((2, 3, 4)))
         with pytest.raises(ParameterError, match="not inside the 4x3 px frames"):
-            read_layer_stack(str(path), window)
+            read_layer_stack(str(path), window, (4, 3))
 
     def test_file_cut_after_the_size_check_is_corrupt(self, tmp_path, monkeypatch):
         path = tmp_path / "layer_0000.irfs"
@@ -340,7 +345,7 @@ class TestLayerStack:
         # the size check sees the whole file, as if it shrank right after
         monkeypatch.setattr(os, "fstat", lambda fd: SimpleNamespace(st_size=real_fstat(fd).st_size + 30))
         with pytest.raises(StoreCorruptionError, match="frame 1 ends at byte 70, expected 76") as e:
-            read_layer_stack(str(path))
+            _read_whole(path, 3, 4)
         assert e.value.offset == 70
 
     @pytest.mark.parametrize(
@@ -357,4 +362,4 @@ class TestLayerStack:
         write_layer_stack(str(path), np.ones((2, 3, 4)))
         path.write_bytes(path.read_bytes()[cut])
         with pytest.raises(error, match=message):
-            read_layer_stack(str(path))
+            _read_whole(path, 3, 4)
