@@ -22,7 +22,7 @@ import numpy as np
 
 from . import features as feat
 from . import geometry, radiometry, simulator, spatial, store
-from .errors import ConfigError, DataError, DegeneracyError, HorizonError, NoPrescanError
+from .errors import ConfigError, DataError, DegeneracyError, GridSizeError, HorizonError, NoPrescanError
 from .errors import BelowFloorError, FeatureNotFoundError, IllConditionedError, IrmapError
 from .errors import ParameterError, StoreFormatError
 
@@ -351,12 +351,18 @@ def _voxelize_stl(path: str, pitch) -> geometry.VoxelMesh:
         data = fh.read()
     try:
         return geometry.voxelize(geometry.parse_stl(data), pitch)
+    except GridSizeError:
+        raise  # the pitch's fault, not the file's: the caller names its pitch
     except (DataError, ParameterError) as exc:  # ParameterError: no, non-finite or flat triangles
         raise DataError(f"{path}: {exc}") from exc
 
 
 def _voxelize_config(cfg: RunConfig) -> geometry.VoxelMesh:
-    return _voxelize_stl(cfg._resolve(cfg.stl), (cfg.pitch_x_um, cfg.pitch_y_um, cfg.pitch_z_um))
+    pitch = (cfg.pitch_x_um, cfg.pitch_y_um, cfg.pitch_z_um)
+    try:
+        return _voxelize_stl(cfg._resolve(cfg.stl), pitch)
+    except GridSizeError as exc:
+        raise ConfigError(f"[geometry] pitch_um = {','.join(f'{p:g}' for p in pitch)}: {exc}") from exc
 
 
 def _layer_range(cfg: RunConfig, vox: geometry.VoxelMesh) -> range:
@@ -405,7 +411,9 @@ def _manifest(
 
 def run_pipeline(cfg: RunConfig) -> PipelineResult:
     """Simulate (or load) every layer, extract features, write store + manifest."""
+    t0 = time.perf_counter()
     vox = _voxelize_config(cfg)
+    setup_s = time.perf_counter() - t0
     layers = _layer_range(cfg, vox)
     if cfg.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -443,7 +451,7 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
         fh.write(blob)
     with open(out + ".manifest.txt", "w", encoding="utf-8") as fh:
         fh.write(manifest)
-    timing = [
+    timing = [f"setup: geometry.voxelize: {setup_s:.3f} s"] + [
         f"layer {r.layer}: {r.seconds:.3f} s"
         + "".join(f"; {name}: {s:.3f} s" for name, s in r.stage_seconds.items())
         + f"; peak_rss_mb: {r.peak_rss_mb:.1f}"
@@ -571,7 +579,10 @@ def _cmd_voxelize(args) -> int:
         pitch = tuple(_parse_pitch(args.pitch).values())
     except ValueError as exc:
         raise ConfigError(f"bad --pitch {args.pitch!r}: {exc}") from exc
-    vox = _voxelize_stl(args.stl, pitch)
+    try:
+        vox = _voxelize_stl(args.stl, pitch)
+    except GridSizeError as exc:
+        raise ConfigError(f"bad --pitch {args.pitch!r}: {exc}") from exc
     nx, ny, nz = vox.dims
     print(f"grid: {nx} x {ny} x {nz} voxels at {pitch} um")
     print(f"occupied: {vox.occupied_count()}")
@@ -633,7 +644,10 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_extract(args) -> int:
     cfg = load_config(args.config, args)
-    result = run_pipeline(cfg)
+    try:
+        result = run_pipeline(cfg)
+    except ConfigError as exc:  # a config value that only the run can reject
+        raise ConfigError(f"{args.config}: {exc}") from exc
     print(f"store written: {cfg._resolve(cfg.out)}")
     print(f"blocks: {len(result.store.blocks)}")
     print(f"reduction ratio: {result.reduction.ratio:.6f}")

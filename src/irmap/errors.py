@@ -9,6 +9,10 @@ class ParameterError(IrmapError, ValueError):
     """An argument violates a documented precondition."""
 
 
+class GridSizeError(ParameterError):
+    """A voxel grid has more voxels than the store's u32 voxel index numbers."""
+
+
 class DataError(IrmapError):
     """Input data (geometry, frames, a store) is malformed or unusable."""
 

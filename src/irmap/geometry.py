@@ -15,9 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutOfFrameError, ParameterError, StlParseError, StlTruncationError
+from .errors import GridSizeError, OutOfFrameError, ParameterError, StlParseError, StlTruncationError
 
 DEFAULT_PITCH_UM = (360.0, 360.0, 40.0)
+MAX_VOXELS = 2**32  # linear voxel indices are stored as u32
 
 _BIN_HEADER = 80
 _BIN_RECORD = 50
@@ -181,9 +182,17 @@ def voxelize(mesh: TriangleMesh, pitch_um=DEFAULT_PITCH_UM) -> VoxelMesh:
     if np.any(pitch_mm <= 0):
         raise ParameterError("pitch must be positive")
     origin, hi = mesh.bbox
-    dims = tuple(int(np.ceil((hi[k] - origin[k]) / pitch_mm[k] - 1e-9)) for k in range(3))
+    with np.errstate(over="ignore"):  # a count past 2**63 is refused below all the same
+        counts = np.minimum(np.ceil((hi - origin) / pitch_mm - 1e-9), 2.0**63)
+    dims = tuple(int(n) for n in counts)
     if min(dims) < 1:
         raise ParameterError(f"empty voxel grid dims {dims}")
+    voxels = dims[0] * dims[1] * dims[2]  # a Python int: no overflow
+    if voxels > MAX_VOXELS:
+        raise GridSizeError(
+            f"voxel grid dims {dims} hold {voxels} voxels, more than the "
+            f"{MAX_VOXELS} that the store's u32 voxel index numbers"
+        )
 
     exact = mesh.is_watertight()
     if not exact:
@@ -200,87 +209,152 @@ def voxelize(mesh: TriangleMesh, pitch_um=DEFAULT_PITCH_UM) -> VoxelMesh:
     )
 
 
-RAY_BLOCK = 1 << 16  # (ray, triangle) pairs solved per array pass; bounds memory
+RAY_BLOCK = 1 << 14  # (ray, triangle) pairs solved per array pass; bounds memory
 
 
 def _parity_occupancy(tris, origin, pitch_mm, dims) -> np.ndarray:
-    """Parity fill of every x-column of voxel centers, a block of rays at a time."""
+    """Parity fill of every x-column of voxel centers.
+
+    Ray r = j * nz + k runs along +x through (yc[j], zc[k]). A triangle meets
+    only the rays inside its yz bounding box grown by one pitch, and those
+    (ray, triangle) pairs are solved in passes of whole rays holding at most
+    RAY_BLOCK pairs (one ray's pairs when they are more). A pass also spans
+    at most 8 * RAY_BLOCK // (nx + 1) rays, which bounds its parity array,
+    (nx + 1) int64 per ray, on a part long in x.
+    """
     nx, ny, nz = dims
     xc = origin[0] + (np.arange(nx) + 0.5) * pitch_mm[0]
     yc = origin[1] + (np.arange(ny) + 0.5) * pitch_mm[1]
     zc = origin[2] + (np.arange(nz) + 0.5) * pitch_mm[2]
     scale = float(np.abs(tris).max()) + 1.0
     tol = 1e-9 * scale
-    rows = max(1, RAY_BLOCK // len(tris))
+    lo, hi = tris.min(axis=1), tris.max(axis=1)
+    j0 = np.searchsorted(yc, lo[:, 1] - pitch_mm[1], side="left")
+    j1 = np.searchsorted(yc, hi[:, 1] + pitch_mm[1], side="right")
+    k0 = np.searchsorted(zc, lo[:, 2] - pitch_mm[2], side="left")
+    k1 = np.searchsorted(zc, hi[:, 2] + pitch_mm[2], side="right")
+    # pairs per ray: each box adds 1 over its rows x layers (a 2-D difference array)
+    box = np.zeros((ny + 1, nz + 1), dtype=np.int64)
+    for j, k, sign in ((j0, k0, 1), (j0, k1, -1), (j1, k0, -1), (j1, k1, 1)):
+        np.add.at(box, (j, k), sign)
+    ends = box.cumsum(axis=0).cumsum(axis=1)[:ny, :nz].ravel().cumsum()  # pairs of rays <= r
 
+    terms = _triangle_terms(tris)
     occ = np.zeros((nx, ny, nz), dtype=bool)
-    for k in range(nz):
-        for j0 in range(0, ny, rows):
-            occ[:, j0 : j0 + rows, k] = _rays_parity(
-                yc[j0 : j0 + rows], zc[k], xc, tris, tol, pitch_mm
-            ).T
+    columns = occ.reshape(nx, ny * nz)
+    most_rays = max(1, 8 * RAY_BLOCK // (nx + 1))
+    done = 0
+    while done < ends[-1]:
+        r0 = int(np.searchsorted(ends, done, side="right"))  # the next ray that holds pairs
+        r1 = max(int(np.searchsorted(ends, done + RAY_BLOCK, side="right")), r0 + 1)
+        r1 = min(r1, r0 + most_rays)
+        ray, tri = _box_pairs(j0, j1, k0, k1, nz, r0, r1)
+        rays, parity = _rays_parity(ray, tri, yc, zc, xc, terms, tol, pitch_mm)
+        columns[:, rays] = parity
+        done = ends[r1 - 1]
     return occ
 
 
-def _ray_hits(py, pz, tris, tol):
-    """Barycentric (u, v, w) of each ray (py[:, None], pz) against each triangle's
-    yz projection, which triangles it pierces, and which rays sit on an edge or
-    on an edge-on triangle (whose projection is a segment), where the parity
-    would be ambiguous."""
-    ax, ay, az = tris[:, 0, 0], tris[:, 0, 1], tris[:, 0, 2]
-    bx, by, bz = tris[:, 1, 0], tris[:, 1, 1], tris[:, 1, 2]
-    cx, cy, cz = tris[:, 2, 0], tris[:, 2, 1], tris[:, 2, 2]
-    py = py[:, None]
-    d = (by - ay) * (cz - az) - (bz - az) * (cy - ay)
-    wc = (by - ay) * (pz - az) - (bz - az) * (py - ay)
-    wb = (py - ay) * (cz - az) - (pz - az) * (cy - ay)
+def _box_pairs(j0, j1, k0, k1, nz, r0, r1):
+    """The (ray, triangle) pairs of the rays r0 <= r < r1, where triangle t
+    meets rays j * nz + k with j0[t] <= j < j1[t] and k0[t] <= k < k1[t]."""
+    ja, ka = divmod(r0, nz)
+    jb, kb = divmod(r1, nz)
+    if ja == jb:
+        spans = [(ja, ja + 1, ka, kb)]
+    else:  # the rest of row ja, whole rows, the start of row jb
+        spans = [(ja, ja + 1, ka, nz), (ja + 1, jb, 0, nz), (jb, jb + 1, 0, kb)]
+    rays, tris = [], []
+    for jlo, jhi, klo, khi in spans:
+        j, k = np.maximum(j0, jlo), np.maximum(k0, klo)
+        nj, nk = np.minimum(j1, jhi) - j, np.minimum(k1, khi) - k
+        n = np.where((nj > 0) & (nk > 0), nj * nk, 0)
+        t = np.flatnonzero(n)
+        tri = np.repeat(t, n[t])
+        step = np.arange(len(tri)) - np.repeat(np.cumsum(n[t]) - n[t], n[t])
+        rays.append((j[tri] + step // nk[tri]) * nz + k[tri] + step % nk[tri])
+        tris.append(tri)
+    return np.concatenate(rays), np.concatenate(tris)
+
+
+def _triangle_terms(tris) -> dict:
+    """Per-triangle terms of the yz-projection test: a's y and z, b - a and
+    c - a in y and z, the determinant d, and the x of a, b and c."""
+    ay, az = tris[:, 0, 1], tris[:, 0, 2]
+    by, bz = tris[:, 1, 1] - ay, tris[:, 1, 2] - az
+    cy, cz = tris[:, 2, 1] - ay, tris[:, 2, 2] - az
+    return {
+        "ay": ay, "az": az, "by": by, "bz": bz, "cy": cy, "cz": cz, "d": by * cz - bz * cy,
+        "ax": tris[:, 0, 0], "bx": tris[:, 1, 0], "cx": tris[:, 2, 0], "yz": tris[:, :, 1:],
+    }
+
+
+def _pair_hits(py, pz, tri, terms, tol):
+    """For each pair i, ray (py[i], pz[i]) against the yz projection of
+    triangle tri[i]: whether the ray pierces it, the x of that crossing, and
+    whether the pair is ambiguous, the ray sitting on an edge or on an edge-on
+    triangle (whose projection is a segment)."""
+    ry, rz = py - terms["ay"][tri], pz - terms["az"][tri]
+    wb = ry * terms["cz"][tri] - rz * terms["cy"][tri]
+    wc = terms["by"][tri] * rz - terms["bz"][tri] * ry
+    d = terms["d"][tri]
     nondeg = np.abs(d) > tol
     with np.errstate(divide="ignore", invalid="ignore"):
         u = np.where(nondeg, wb / d, 0.0)
         v = np.where(nondeg, wc / d, 0.0)
     w = 1.0 - u - v
-    near_edge = nondeg & (
+    ambiguous = nondeg & (
         (np.abs(u) < 1e-9) | (np.abs(v) < 1e-9) | (np.abs(w) < 1e-9)
         | (np.abs(u - 1) < 1e-9) | (np.abs(v - 1) < 1e-9) | (np.abs(w - 1) < 1e-9)
     )
     inside = nondeg & (u > 0) & (v > 0) & (w > 0)
-    ambiguous = near_edge.any(axis=1)
-    edge_on = tris[~nondeg, :, 1:]  # a ray is ambiguous only on their segments
+    x = w * terms["ax"][tri] + u * terms["bx"][tri] + v * terms["cx"][tri]
+    on = np.flatnonzero(~nondeg)  # a ray is ambiguous only on their segments
+    edge_on = terms["yz"][tri[on]]
     for i, j in ((0, 1), (1, 2), (2, 0)):
         p, (dy, dz) = edge_on[:, i], (edge_on[:, j] - edge_on[:, i]).T
-        ry, rz = py - p[:, 0], pz - p[:, 1]
+        ry, rz = py[on] - p[:, 0], pz[on] - p[:, 1]
         s = np.clip((ry * dy + rz * dz) / np.maximum(dy * dy + dz * dz, 1e-300), 0.0, 1.0)
-        ambiguous |= (np.hypot(ry - s * dy, rz - s * dz) <= tol).any(axis=1)
-    return u, v, w, inside, ambiguous
+        ambiguous[on] |= np.hypot(ry - s * dy, rz - s * dz) <= tol
+    return inside, x, ambiguous
 
 
-def _rays_parity(y, z, xc, tris, tol, pitch_mm):
-    """Parity fill of the x-columns of voxel centers at rays (y[r], z): (len(y), nx).
+def _rays_parity(ray, tri, yc, zc, xc, terms, tol, pitch_mm):
+    """The rays that the (ray, triangle) pairs hold, in order, and the parity
+    fill of their x-columns of voxel centers: (nx, rays).
 
-    An ambiguous ray is moved by a deterministic perturbation that grows per
-    attempt, so repeated runs are bit-identical; after six attempts the last
-    one stands.
+    A ray is ambiguous when one of its pairs is, so only a triangle whose
+    grown box holds the ray can make it so. An ambiguous ray is moved by a
+    deterministic perturbation (at most 2.2e-3 pitch) that grows per
+    attempt, and solved again over its own pairs, so repeated runs are
+    bit-identical; after six attempts the last one stands.
     """
-    u, v, w, inside, again = _ray_hits(y, z, tris, tol)
+    first = ray.min()  # np.unique, but without its sort
+    held = np.zeros(ray.max() - first + 1, dtype=bool)
+    held[ray - first] = True
+    rays = first + np.flatnonzero(held)
+    row = (np.cumsum(held) - 1)[ray - first]  # rays[row[i]] == ray[i]
+    j, k = np.divmod(ray, len(zc))
+    inside, x, ambiguous = _pair_hits(yc[j], zc[k], tri, terms, tol)
+    again = np.zeros(len(rays), dtype=bool)
+    again[row[ambiguous]] = True
     for attempt in range(5):
         if not again.any():
             break
         eps = 1e-4 * (2.0**attempt)
-        redo = np.flatnonzero(again)
-        py = y[redo] + eps * pitch_mm[1]
-        pz = z + eps * 1.37 * pitch_mm[2]
-        u[redo], v[redo], w[redo], inside[redo], still = _ray_hits(py, pz, tris, tol)
-        again = np.zeros_like(again)
-        again[redo] = still
-    ray, tri = np.nonzero(inside)
-    x = tris[tri, :, 0]
-    xs = w[ray, tri] * x[:, 0] + u[ray, tri] * x[:, 1] + v[ray, tri] * x[:, 2]
+        redo = np.flatnonzero(again[row])
+        py = yc[j[redo]] + eps * pitch_mm[1]
+        pz = zc[k[redo]] + eps * 1.37 * pitch_mm[2]
+        inside[redo], x[redo], still = _pair_hits(py, pz, tri[redo], terms, tol)
+        again[:] = False
+        again[row[redo[still]]] = True
+    hit = np.flatnonzero(inside)
     # a crossing at x flips every voxel center xc[i] < x, i.e. i < m
     nx = len(xc)
-    m = np.searchsorted(xc, xs, side="left")
-    flips = np.bincount(ray * (nx + 1) + m, minlength=len(y) * (nx + 1)).reshape(len(y), nx + 1)
-    crossings = np.cumsum(flips[:, ::-1], axis=1)[:, ::-1]  # crossings[:, i] = flips[:, i:].sum()
-    return crossings[:, 1:] % 2 == 1
+    m = np.searchsorted(xc, x[hit], side="left")
+    flips = np.bincount(m * len(rays) + row[hit], minlength=(nx + 1) * len(rays)).reshape(nx + 1, len(rays))
+    np.cumsum(flips[::-1], axis=0, out=flips[::-1])  # now flips[i] = crossings of xc[i:]
+    return rays, np.remainder(flips, 2, out=flips)[1:] == 1
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,11 @@ import oracles
 from irmap import geometry, imageops
 from irmap.errors import DegenerateHistogramError, ParameterError
 from irmap.geometry import TriangleMesh, box_mesh, voxelize
-from test_geometry import sphere_mesh
+from test_geometry import icosphere_mesh, sphere_mesh
 
 PITCH_UM = (360.0, 360.0, 40.0)
 PITCH_MM = np.asarray(PITCH_UM) / 1000.0
+ICOSPHERE_PITCH_UM = (360.0, 360.0, 400.0)
 
 
 def _binaries(rng):
@@ -108,30 +109,50 @@ def _meshes():
     }
 
 
-def _perturbed_passes(monkeypatch, mesh, origin, dims):
-    """The occupancy, and the ray count of each perturbed `_ray_hits` pass."""
+def _icosphere():
+    """The 5,120-triangle icosphere of radius 10 mm. Its x = 10 mm mirror plane
+    joins mirrored vertices by x-parallel edges, whose edge-on triangles the
+    column oracle marks ambiguous on every column, so the oracle tests use it
+    moved (`_moved`) onto no symmetry of the grid."""
+    return icosphere_mesh(10.0, (10.0, 10.0, 10.0), 4)
+
+
+def _moved(mesh, seed):
+    """`mesh` under a seeded rigid motion: a rotation, then a shift of less
+    than one pitch along each axis."""
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+    q *= np.sign(np.diag(r))
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    return TriangleMesh(mesh.vertices @ q.T + rng.uniform(0, 1, 3) * PITCH_MM, mesh.normals @ q.T)
+
+
+def _retried_passes(monkeypatch, mesh, origin, dims):
+    """The occupancy, and the ray count of each perturbed `_pair_hits` pass:
+    a first pass holds rays on the voxel-center layers, a retry none."""
     origin = np.asarray(origin)
-    zc = set(origin[2] + (np.arange(dims[2]) + 0.5) * PITCH_MM[2])
+    zc = origin[2] + (np.arange(dims[2]) + 0.5) * PITCH_MM[2]
     retried = []
-    hits = geometry._ray_hits
+    hits = geometry._pair_hits
 
-    def spy(py, pz, tris, tol):
-        if pz not in zc:
-            retried.append(len(py))
-        return hits(py, pz, tris, tol)
+    def spy(py, pz, tri, terms, tol):
+        if not np.isin(pz, zc).any():
+            retried.append(len(set(zip(py.tolist(), pz.tolist()))))
+        return hits(py, pz, tri, terms, tol)
 
-    monkeypatch.setattr(geometry, "_ray_hits", spy)
+    monkeypatch.setattr(geometry, "_pair_hits", spy)
     return geometry._parity_occupancy(mesh.vertices, origin, PITCH_MM, dims), retried
 
 
-def _grid(mesh, origin, dims):
+def _grid(mesh, origin, dims, pitch_um=PITCH_UM):
     """The origin, dims and occupancy of the grid: `voxelize`'s own grid over
     the mesh bbox when `origin` is None, else the given one."""
     if origin is None:
-        vox = voxelize(mesh, PITCH_UM)
+        vox = voxelize(mesh, pitch_um)
         return np.asarray(vox.origin_mm), vox.dims, vox.occupancy
     origin = np.asarray(origin, dtype=np.float64)
-    return origin, dims, geometry._parity_occupancy(mesh.vertices, origin, PITCH_MM, dims)
+    return origin, dims, geometry._parity_occupancy(mesh.vertices, origin, np.asarray(pitch_um) / 1000.0, dims)
 
 
 class TestParityOccupancy:
@@ -145,13 +166,50 @@ class TestParityOccupancy:
         assert occ.tobytes() == want.tobytes()
 
     @pytest.mark.filterwarnings("ignore:mesh is not watertight")
-    @pytest.mark.parametrize("name", ["sphere", "box", "on-ray tetrahedron"])
-    def test_ray_blocks_do_not_change_occupancy(self, name, monkeypatch):
-        mesh, origin, dims = _meshes()[name]
-        origin, dims, want = _grid(mesh, origin, dims)
-        monkeypatch.setattr(geometry, "RAY_BLOCK", 3 * len(mesh.vertices))  # 3 rays a pass
-        occ = geometry._parity_occupancy(mesh.vertices, origin, PITCH_MM, dims)
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("name", list(_meshes()))
+    def test_rigid_motion_matches_column_oracle(self, name, seed):
+        mesh = _moved(_meshes()[name][0], seed)
+        origin, dims, occ = _grid(mesh, None, None)
+        want = oracles.parity_occupancy(mesh.vertices, origin, PITCH_MM, dims)
+        assert want.any()
         assert occ.tobytes() == want.tobytes()
+
+    def test_icosphere_matches_column_oracle(self):
+        mesh = _moved(_icosphere(), 1)
+        assert len(mesh.vertices) == 5120 and mesh.is_watertight()
+        pitch_um = (720.0, 720.0, 800.0)  # 700 rays keep the one-ray oracle short
+        vox = voxelize(mesh, pitch_um)
+        want = oracles.parity_occupancy(mesh.vertices, np.asarray(vox.origin_mm), np.asarray(pitch_um) / 1000.0, vox.dims)
+        assert want.any() and not want.all()
+        assert vox.occupancy.tobytes() == want.tobytes()
+
+    @pytest.mark.filterwarnings("ignore:mesh is not watertight")
+    @pytest.mark.parametrize("name", [*_meshes(), "icosphere"])
+    def test_ray_blocks_do_not_change_occupancy(self, name, monkeypatch):
+        if name == "icosphere":  # 2,800 rays at a 400 um layer pitch
+            (mesh, origin, dims), pitch_um = (_icosphere(), None, None), ICOSPHERE_PITCH_UM
+        else:
+            (mesh, origin, dims), pitch_um = _meshes()[name], PITCH_UM
+        origin, dims, want = _grid(mesh, origin, dims, pitch_um)
+        # one ray a pass, or a few rays whose passes start and end inside rows
+        for block in (1, 37):
+            monkeypatch.setattr(geometry, "RAY_BLOCK", block)
+            occ = geometry._parity_occupancy(mesh.vertices, origin, np.asarray(pitch_um) / 1000.0, dims)
+            assert occ.tobytes() == want.tobytes(), block
+
+    def test_solves_only_the_pairs_that_can_meet(self, monkeypatch):
+        mesh, pitch_um = _icosphere(), ICOSPHERE_PITCH_UM
+        pairs = []
+        hits = geometry._pair_hits
+
+        def spy(py, pz, tri, terms, tol):
+            pairs.append(len(tri))
+            return hits(py, pz, tri, terms, tol)
+
+        monkeypatch.setattr(geometry, "_pair_hits", spy)
+        nx, ny, nz = voxelize(mesh, pitch_um).dims
+        assert pairs and sum(pairs) <= 0.01 * ny * nz * len(mesh.vertices)
 
     def test_on_ray_mesh_takes_the_retry_path(self, monkeypatch):
         mesh, origin, dims = _meshes()["on-ray tetrahedron"]
@@ -159,23 +217,23 @@ class TestParityOccupancy:
         want = oracles.parity_occupancy(mesh.vertices, origin, PITCH_MM, dims, attempts)
         assert min(attempts) == 0 and max(attempts) > 0
 
-        occ, retried = _perturbed_passes(monkeypatch, mesh, origin, dims)
-        assert retried  # some layer solved a second, perturbed pass ...
-        assert min(retried) < dims[1]  # ... over the ambiguous rays of the layer only
+        occ, retried = _retried_passes(monkeypatch, mesh, origin, dims)
+        assert retried  # a second, perturbed pass ...
+        assert max(retried) < dims[1] * dims[2]  # ... over the ambiguous rays only
         assert occ.tobytes() == want.tobytes()
 
     def test_edge_on_faces_off_the_rays_take_no_retry(self, monkeypatch):
         # the demo box: its x-parallel faces project to segments no voxel-center
         # ray is on, and no ray crosses an edge of its other faces
         mesh = box_mesh((19.44, 19.44, 0.8))
-        occ, retried = _perturbed_passes(monkeypatch, mesh, (0.0, 0.0, 0.0), (54, 54, 20))
+        occ, retried = _retried_passes(monkeypatch, mesh, (0.0, 0.0, 0.0), (54, 54, 20))
         assert not retried
         assert occ.all()
 
     def test_ray_on_an_edge_on_face_takes_the_retry_path(self, monkeypatch):
         mesh, origin, dims = _meshes()["on-ray box"]
-        occ, retried = _perturbed_passes(monkeypatch, mesh, origin, dims)
-        assert retried and max(retried) < dims[1]
+        occ, retried = _retried_passes(monkeypatch, mesh, origin, dims)
+        assert retried and max(retried) < dims[1] * dims[2]
         want = oracles.parity_occupancy(mesh.vertices, origin, PITCH_MM, dims)
         assert occ.tobytes() == want.tobytes()
 

@@ -236,6 +236,11 @@ class TestExitCodes:
                 ("spatter_count = 0", "spatter_count = 2\nspatter_decay_s = 0"),
                 "[simulation] spatter_decay_s must be positive",
             ),
+            (
+                [],
+                ("360,360,40", "0.001,0.001,40"),
+                "[geometry] pitch_um = 0.001,0.001,40: voxel grid dims (3600000, 3600000, 2) hold",
+            ),
         ],
         ids=[
             "jobs-zero",
@@ -272,6 +277,7 @@ class TestExitCodes:
             "seed-flag-negative",
             "spatter-peak-negative",
             "spatter-decay-zero",
+            "pitch-past-u32-index",
         ],
     )
     def test_bad_config_value(self, mini_build, capsys, flags, ini_edit, message):
@@ -321,7 +327,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == f"data error: {store_path}: (layer, feature) (5, 3) not in store\n"
 
-    @pytest.mark.parametrize("pitch", ["nan,360,40", "360,0,40", "360,360,-40", "360,inf,40"])
+    @pytest.mark.parametrize("pitch", ["nan,360,40", "360,0,40", "360,360,-40", "360,inf,40", "0.001,0.001,40"])
     def test_bad_voxelize_pitch(self, mini_build, capsys, pitch):
         assert main(["voxelize", "--stl", str(mini_build / "mini.stl"), "--pitch", pitch]) == 2
         assert f"bad --pitch {pitch!r}" in capsys.readouterr().err
@@ -545,7 +551,9 @@ class TestPipeline:
 
     def test_timings_name_each_stage(self, mini_build):
         assert main(["extract", "--config", str(mini_build / "mini.ini")]) == 0
-        lines = (mini_build / "mini.irvx.timings.txt").read_text().splitlines()
+        setup, *lines = (mini_build / "mini.irvx.timings.txt").read_text().splitlines()
+        m = re.fullmatch(r"setup: geometry.voxelize: (\d+\.\d{3}) s", setup)
+        assert m, setup
         assert len(lines) == 2
         for layer, line in enumerate(lines):
             m = re.fullmatch(

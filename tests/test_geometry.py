@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from irmap import geometry
-from irmap.errors import OutOfFrameError, ParameterError, StlParseError, StlTruncationError
+from irmap.errors import GridSizeError, OutOfFrameError, ParameterError, StlParseError, StlTruncationError
 from irmap.geometry import (
     PixelGridFrame,
     TriangleMesh,
@@ -61,6 +61,29 @@ def sphere_mesh(radius, center, n_theta=48, n_phi=24):
     return TriangleMesh(vertices=v, normals=n / norms)
 
 
+def icosphere_mesh(radius, center, levels):
+    """Watertight icosphere: an icosahedron whose faces are split in four
+    `levels` times, 20 * 4**levels triangles, every vertex on the sphere."""
+    t = (1 + 5**0.5) / 2
+    v = np.array(
+        [(-1, t, 0), (1, t, 0), (-1, -t, 0), (1, -t, 0), (0, -1, t), (0, 1, t),
+         (0, -1, -t), (0, 1, -t), (t, 0, -1), (t, 0, 1), (-t, 0, -1), (-t, 0, 1)]
+    )
+    faces = [
+        (0, 11, 5), (0, 5, 1), (0, 1, 7), (0, 7, 10), (0, 10, 11), (1, 5, 9), (5, 11, 4),
+        (11, 10, 2), (10, 7, 6), (7, 1, 8), (3, 9, 4), (3, 4, 2), (3, 2, 6), (3, 6, 8),
+        (3, 8, 9), (4, 9, 5), (2, 4, 11), (6, 2, 10), (8, 6, 7), (9, 8, 1),
+    ]
+    tris = v[np.array(faces)]
+    for _ in range(levels):
+        a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
+        ab, bc, ca = (a + b) / 2, (b + c) / 2, (c + a) / 2  # one midpoint per shared edge
+        tris = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1).reshape(-1, 3, 3)
+    tris = radius * tris / np.linalg.norm(tris, axis=2, keepdims=True) + np.asarray(center, dtype=float)
+    n = np.cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0])
+    return TriangleMesh(vertices=tris, normals=n / np.linalg.norm(n, axis=1, keepdims=True))
+
+
 class TestParse:
     def test_binary_cube(self):
         mesh = box_mesh((1.0, 1.0, 1.0))
@@ -95,6 +118,15 @@ class TestVoxelize:
         vox = voxelize(mesh, (360.0, 360.0, 40.0))
         assert vox.occupied_count() == 1000
         assert vox.exact
+
+    @pytest.mark.parametrize(
+        "pitch_um, dims",
+        [((0.001, 0.001, 40.0), (3600000, 3600000, 2)), ((1e-310, 360.0, 40.0), (2**63, 10, 2))],
+    )
+    def test_grid_past_the_u32_index_is_refused(self, pitch_um, dims):
+        # refused from the dims alone, before the occupancy is allocated
+        with pytest.raises(GridSizeError, match=rf"voxel grid dims \({dims[0]}, {dims[1]}, {dims[2]}\) hold"):
+            voxelize(box_mesh((3.6, 3.6, 0.08)), pitch_um)
 
     def test_translation_by_whole_pitch(self):
         """On one fixed grid, a box moved by one pitch along x fills the same

@@ -1,4 +1,5 @@
-"""Per-layer memory: the chunked reductions and the windowed stack read.
+"""Per-layer memory: the chunked reductions and the windowed stack read,
+and the voxelizer's pair passes.
 
 Each stage's tracemalloc peak above what was live before it is bounded by a
 stated multiple of the layer's u16 stack bytes, on one 40 mm box layer (498
@@ -21,6 +22,7 @@ from irmap import cli, geometry, imageops, store
 from irmap import features as feat
 from irmap.geometry import box_mesh, mesh_to_binary_stl
 from irmap.radiometry import forward_counts
+from test_geometry import icosphere_mesh
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 REDUCTION_PEAK = 0.5  # x the stack bytes, above the live stack
@@ -156,3 +158,22 @@ def test_chunked_reductions_equal_whole_stack(rng, profile, monkeypatch, chunk):
         for name in sorted(REDUCTIONS):
             got = REDUCTIONS[name](stack, order, profile)
             assert result_bytes(got) == result_bytes(WHOLE[name](stack, order, profile)), name
+
+
+@pytest.mark.parametrize(
+    "mesh, dims, bound_mib",
+    [
+        # all 290,082 pairs in one pass peak at about 41 MiB
+        (icosphere_mesh(10.0, (10.0, 10.0, 10.0), 4), (56, 56, 500), 6),
+        # 18.6 MiB of occupancy; passes bounded by their pairs alone peak at 47 MiB
+        (box_mesh((250.0, 20.0, 20.0)), (695, 56, 500), 22),
+    ],
+    ids=["sphere", "long box"],
+)
+def test_voxelize_peak_is_bounded_by_the_pair_passes(mesh, dims, bound_mib):
+    """A pass holds at most RAY_BLOCK (ray, triangle) pairs and spans at most
+    8 * RAY_BLOCK // (nx + 1) rays, whose parity takes (nx + 1) int64 each.
+    The occupancy counts in the bound."""
+    vox, peak = peak_above_live(geometry.voxelize, mesh, (360.0, 360.0, 40.0))
+    assert vox.dims == dims
+    assert peak <= bound_mib * 2**20, f"{peak / 2**20:.2f} MiB"
