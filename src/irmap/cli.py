@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import hashlib
 import os
 import resource
@@ -17,6 +18,7 @@ import sys
 import time
 from dataclasses import dataclass, field, fields
 from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
@@ -174,33 +176,31 @@ def _set(cfg: RunConfig, section: str, key: str, text: str) -> None:
 
 def load_config(path: str, args=None) -> RunConfig:
     """Read a UTF-8 key-value config file, apply the command-line flags in
-    `args` (an argparse namespace) over it, and validate the result."""
+    `args` (an argparse namespace) over it, and validate the result. A
+    ConfigError leaves the file's path out: `main` names it once."""
     if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
+        raise ConfigError("config file not found")
     parser = configparser.ConfigParser()
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
         parser.read_string(text)
     except (configparser.Error, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot parse config {path}: {exc}") from exc
+        raise ConfigError(f"cannot parse config: {exc}") from exc
 
     cfg = RunConfig()
     cfg.config_dir = os.path.dirname(os.path.abspath(path))
     cfg.config_sha256 = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    try:
-        for section in parser.sections():
-            if section not in _SCHEMA:
-                raise ConfigError(f"unknown config section [{section}]")
-            for key, raw in parser[section].items():
-                _set(cfg, section, key, raw)
-        for key in _SCHEMA["run"]:  # a flag named like a [run] key overrides it
-            flag = getattr(args, key, None)
-            if flag is not None:
-                _set(cfg, "run", key, flag)
-        _validate(cfg)
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    for section in parser.sections():
+        if section not in _SCHEMA:
+            raise ConfigError(f"unknown config section [{section}]")
+        for key, raw in parser[section].items():
+            _set(cfg, section, key, raw)
+    for key in _SCHEMA["run"]:  # a flag named like a [run] key overrides it
+        flag = getattr(args, key, None)
+        if flag is not None:
+            _set(cfg, "run", key, flag)
+    _validate(cfg)
     return cfg
 
 
@@ -375,88 +375,77 @@ def _layer_range(cfg: RunConfig, vox: geometry.VoxelMesh) -> range:
     return range(cfg.layer_lo, hi + 1)
 
 
-def _manifest(
-    cfg: RunConfig,
-    results: list[LayerResult],
-    report: store.ReductionReport,
-    store_sha: str,
-    stl_sha: str,
-) -> str:
-    lines = ["# run manifest", "[run]"]
-    lines.append(f"config_sha256 = {cfg.config_sha256}")
-    lines.append(f"stl_sha256 = {stl_sha}")
-    lines.append(f"store_sha256 = {store_sha}")
-    lines.append(f"raw_bytes = {report.raw_bytes}")
-    lines.append(f"stored_bytes = {report.stored_bytes}")
-    lines.append(f"reduction_ratio = {report.ratio!r}")
-    lines.append(f"meets_99_percent = {str(report.meets_99_percent).lower()}")
-    lines.append("")
-    lines.append("[parameters]")
-    skip = {"config_dir", "config_sha256"}
-    for f in sorted(fields(RunConfig), key=lambda f: f.name):
-        if f.name in skip:
-            continue
-        lines.append(f"{f.name} = {getattr(cfg, f.name)!r}")
-    for r in results:
-        lines.append("")
-        lines.append(f"[layer {r.layer}]")
-        lines.append(f"frames = {r.frame_count}")
-        lines.append(f"mask_pixels = {len(r.mask)}")
-        lines.append(f"spatter_records = {len(r.features.spatter_records)}")
-        if r.truth is not None:
-            lines.append(f"spatter_injected = {len(r.truth.spatter_events)}")
-    lines.append("")
-    return "\n".join(lines)
-
-
 def run_pipeline(cfg: RunConfig) -> PipelineResult:
-    """Simulate (or load) every layer, extract features, write store + manifest."""
+    """Simulate (or load) every layer, extract features, write store + manifest.
+
+    One pass over the layer results in layer order, serial or as the worker
+    pool's `map` yields them: each result adds its store blocks, its manifest
+    section, its timings line and its frame count as it arrives.
+    """
     t0 = time.perf_counter()
     vox = _voxelize_config(cfg)
-    setup_s = time.perf_counter() - t0
+    timing = [f"setup: geometry.voxelize: {time.perf_counter() - t0:.3f} s"]
     layers = _layer_range(cfg, vox)
-    if cfg.jobs > 1:
+    wanted = set(cfg.features) if cfg.features else {int(f) for f in feat.FeatureId}
+    pitch = (cfg.pitch_x_um, cfg.pitch_y_um, cfg.pitch_z_um)
+    fstore = store.FeatureStore(store.StoreMeta(pitch_um=pitch, dims=vox.dims, parts=[(1, "part")]))
+    sections, results, frames = [], [], 0
+    # the pool forks all its workers at the first submit: no more than the run can use
+    workers = min(cfg.jobs, len(layers), os.cpu_count() or 1)
+    pool = None
+    if workers > 1:  # imported here: multiprocessing adds 2 MB to a serial run's peak RSS
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            results = list(pool.map(process_layer, [cfg] * len(layers), [vox] * len(layers), layers))
-    else:
-        results = [process_layer(cfg, vox, layer) for layer in layers]
-    results.sort(key=lambda r: r.layer)
+        pool = ProcessPoolExecutor(max_workers=workers)
+    with pool or contextlib.nullcontext():
+        for r in (pool.map if pool else map)(process_layer, repeat(cfg), repeat(vox), layers):
+            for fid, values in sorted(r.features.values.items()):
+                if int(fid) in wanted:
+                    sparse = geometry.SparseFeature(r.mask.voxel_indices, values.astype(np.float32))
+                    fstore.add(r.layer, int(fid), sparse)
+            sections += [
+                "",
+                f"[layer {r.layer}]",
+                f"frames = {r.frame_count}",
+                f"mask_pixels = {len(r.mask)}",
+                f"spatter_records = {len(r.features.spatter_records)}",
+            ]
+            if r.truth is not None:
+                sections.append(f"spatter_injected = {len(r.truth.spatter_events)}")
+            timing.append(
+                f"layer {r.layer}: {r.seconds:.3f} s"
+                + "".join(f"; {name}: {s:.3f} s" for name, s in r.stage_seconds.items())
+                + f"; peak_rss_mb: {r.peak_rss_mb:.1f}"
+            )
+            frames += r.frame_count
+            results.append(r)
 
-    wanted = set(cfg.features) if cfg.features else {int(f) for f in feat.FeatureId}
-    fstore = store.FeatureStore(
-        meta=store.StoreMeta(
-            pitch_um=(cfg.pitch_x_um, cfg.pitch_y_um, cfg.pitch_z_um),
-            dims=vox.dims,
-            parts=[(1, "part")],
-        )
-    )
-    for r in results:
-        for fid, values in sorted(r.features.values.items()):
-            if int(fid) in wanted:
-                sparse = geometry.SparseFeature(r.mask.voxel_indices, values.astype(np.float32))
-                fstore.add(r.layer, int(fid), sparse)
     blob = store.write_store(fstore)
-    report = store.reduction_report(
-        (cfg.cam_width, cfg.cam_height), [r.frame_count for r in results], len(blob)
-    )
+    report = store.reduction_report((cfg.cam_width, cfg.cam_height), [frames], len(blob))
     with open(cfg._resolve(cfg.stl), "rb") as fh:
         stl_sha = hashlib.sha256(fh.read()).hexdigest()
-    manifest = _manifest(
-        cfg, results, report, hashlib.sha256(blob).hexdigest(), stl_sha
-    )
+    lines = [
+        "# run manifest",
+        "[run]",
+        f"config_sha256 = {cfg.config_sha256}",
+        f"stl_sha256 = {stl_sha}",
+        f"store_sha256 = {hashlib.sha256(blob).hexdigest()}",
+        f"raw_bytes = {report.raw_bytes}",
+        f"stored_bytes = {report.stored_bytes}",
+        f"reduction_ratio = {report.ratio!r}",
+        f"meets_99_percent = {str(report.meets_99_percent).lower()}",
+        "",
+        "[parameters]",
+    ]
+    for f in sorted(fields(RunConfig), key=lambda f: f.name):
+        if f.name not in ("config_dir", "config_sha256"):
+            lines.append(f"{f.name} = {getattr(cfg, f.name)!r}")
+    manifest = "\n".join(lines + sections + [""])
     out = cfg._resolve(cfg.out)
     with open(out, "wb") as fh:
         fh.write(blob)
     with open(out + ".manifest.txt", "w", encoding="utf-8") as fh:
         fh.write(manifest)
-    timing = [f"setup: geometry.voxelize: {setup_s:.3f} s"] + [
-        f"layer {r.layer}: {r.seconds:.3f} s"
-        + "".join(f"; {name}: {s:.3f} s" for name, s in r.stage_seconds.items())
-        + f"; peak_rss_mb: {r.peak_rss_mb:.1f}"
-        for r in results
-    ]
     with open(out + ".timings.txt", "w", encoding="utf-8") as fh:
         fh.write("\n".join(timing) + "\n")
     return PipelineResult(
@@ -644,10 +633,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_extract(args) -> int:
     cfg = load_config(args.config, args)
-    try:
-        result = run_pipeline(cfg)
-    except ConfigError as exc:  # a config value that only the run can reject
-        raise ConfigError(f"{args.config}: {exc}") from exc
+    result = run_pipeline(cfg)
     print(f"store written: {cfg._resolve(cfg.out)}")
     print(f"blocks: {len(result.store.blocks)}")
     print(f"reduction ratio: {result.reduction.ratio:.6f}")
@@ -766,8 +752,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    except ConfigError as exc:  # from the config file, or a value only the run rejects
+        where = f"{args.config}: " if getattr(args, "config", None) else ""
+        print(f"config error: {where}{exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:  # its message names the file
         print(f"file error: {exc}", file=sys.stderr)

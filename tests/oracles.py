@@ -156,6 +156,15 @@ def parity_occupancy(tris, origin, pitch_mm, dims, attempts=None) -> np.ndarray:
     return occ
 
 
+def _on_segment(py, pz, p, q, tol):
+    """Whether the point (py, pz) lies within `tol` of the yz segment p-q,
+    for each triangle's p and q."""
+    (y0, z0), (dy, dz) = p, (q[0] - p[0], q[1] - p[1])
+    ry, rz = py - y0, pz - z0
+    s = np.clip((ry * dy + rz * dz) / np.maximum(dy * dy + dz * dz, 1e-300), 0.0, 1.0)
+    return np.hypot(ry - s * dy, rz - s * dz) <= tol
+
+
 def _column_parity(y, z, xc, ax, ay, az, bx, by, bz, cx, cy, cz, tol, pitch_mm, attempts):
     py, pz = y, z
     for attempt in range(6):
@@ -171,8 +180,11 @@ def _column_parity(y, z, xc, ax, ay, az, bx, by, bz, cx, cy, cz, tol, pitch_mm, 
             (np.abs(u) < 1e-9) | (np.abs(v) < 1e-9) | (np.abs(w) < 1e-9)
             | (np.abs(u - 1) < 1e-9) | (np.abs(v - 1) < 1e-9) | (np.abs(w - 1) < 1e-9)
         )
+        # an edge-on triangle projects to a segment: the ray is ambiguous on it
         degenerate_plane = (~nondeg) & (
-            (np.abs(wb) < tol) | (np.abs(wc) < tol)
+            _on_segment(py, pz, (ay, az), (by, bz), tol)
+            | _on_segment(py, pz, (by, bz), (cy, cz), tol)
+            | _on_segment(py, pz, (cy, cz), (ay, az), tol)
         )
         inside = nondeg & (u > 0) & (v > 0) & (w > 0)
         if not (near_edge[inside | near_edge].any() or degenerate_plane.any()):

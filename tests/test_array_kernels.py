@@ -111,9 +111,7 @@ def _meshes():
 
 def _icosphere():
     """The 5,120-triangle icosphere of radius 10 mm. Its x = 10 mm mirror plane
-    joins mirrored vertices by x-parallel edges, whose edge-on triangles the
-    column oracle marks ambiguous on every column, so the oracle tests use it
-    moved (`_moved`) onto no symmetry of the grid."""
+    joins mirrored vertices by x-parallel edges, so it holds edge-on triangles."""
     return icosphere_mesh(10.0, (10.0, 10.0, 10.0), 4)
 
 
@@ -176,13 +174,14 @@ class TestParityOccupancy:
         assert occ.tobytes() == want.tobytes()
 
     def test_icosphere_matches_column_oracle(self):
-        mesh = _moved(_icosphere(), 1)
-        assert len(mesh.vertices) == 5120 and mesh.is_watertight()
         pitch_um = (720.0, 720.0, 800.0)  # 700 rays keep the one-ray oracle short
-        vox = voxelize(mesh, pitch_um)
-        want = oracles.parity_occupancy(mesh.vertices, np.asarray(vox.origin_mm), np.asarray(pitch_um) / 1000.0, vox.dims)
-        assert want.any() and not want.all()
-        assert vox.occupancy.tobytes() == want.tobytes()
+        for mesh in (_icosphere(), _moved(_icosphere(), 1)):  # on and off the grid's symmetry
+            assert len(mesh.vertices) == 5120 and mesh.is_watertight()
+            vox = voxelize(mesh, pitch_um)
+            origin, pitch_mm = np.asarray(vox.origin_mm), np.asarray(pitch_um) / 1000.0
+            want = oracles.parity_occupancy(mesh.vertices, origin, pitch_mm, vox.dims)
+            assert want.any() and not want.all()
+            assert vox.occupancy.tobytes() == want.tobytes()
 
     @pytest.mark.filterwarnings("ignore:mesh is not watertight")
     @pytest.mark.parametrize("name", [*_meshes(), "icosphere"])
@@ -236,6 +235,22 @@ class TestParityOccupancy:
         assert retried and max(retried) < dims[1] * dims[2]
         want = oracles.parity_occupancy(mesh.vertices, origin, PITCH_MM, dims)
         assert occ.tobytes() == want.tobytes()
+
+    def test_edge_on_face_alone_takes_the_retry_path(self, monkeypatch):
+        # an open mesh: a face in the plane x = 1 mm, and an edge-on wall whose
+        # segment holds five voxel-center rays that cross the face on no edge
+        y = (5 + 0.5) * PITCH_MM[1]
+        face = [(1.0, 0.0, -0.01), (1.0, 3.6, -0.01), (1.0, 1.8, 0.41)]
+        wall = [(0.5, y, 0.05), (1.5, y, 0.05), (1.5, y, 0.25)]
+        origin, dims = np.zeros(3), (10, 10, 10)
+        face_only = TriangleMesh(np.array([face]), np.zeros((1, 3)))
+        alone, retried = _retried_passes(monkeypatch, face_only, origin, dims)
+        assert alone.any() and not retried
+        mesh = TriangleMesh(np.array([face, wall]), np.zeros((2, 3)))
+        occ, retried = _retried_passes(monkeypatch, mesh, origin, dims)
+        assert retried == [5]
+        assert occ.tobytes() == alone.tobytes()
+        assert occ.tobytes() == oracles.parity_occupancy(mesh.vertices, origin, PITCH_MM, dims).tobytes()
 
     @pytest.mark.parametrize("name", list(_meshes()))
     def test_is_watertight_matches_edge_count_oracle(self, name):

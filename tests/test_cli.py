@@ -1,3 +1,4 @@
+import concurrent.futures
 import re
 import resource
 import struct
@@ -286,7 +287,7 @@ class TestExitCodes:
             cfg.write_text(cfg.read_text().replace(*ini_edit))
         assert main(["extract", "--config", str(cfg), *flags]) == 2
         err = capsys.readouterr().err
-        assert message in err and str(cfg) in err
+        assert message in err and err.count(str(cfg)) == 1
 
     def test_unplaceable_spatter_count(self, mini_build, capsys):
         cfg = mini_build / "mini.ini"
@@ -294,6 +295,28 @@ class TestExitCodes:
         assert main(["extract", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert "[simulation] spatter_count = 200: layer 0: could only place" in err
+
+    @pytest.mark.parametrize(
+        "ini_edit, message",
+        [
+            (("spatter_count = 0", "spatter_count = 200"), "[simulation] spatter_count = 200: layer 0: could only place"),
+            (("360,360,40", "0.001,0.001,40"), "[geometry] pitch_um = 0.001,0.001,40: voxel grid dims"),
+        ],
+        ids=["spatter-unplaceable", "pitch-past-u32-index"],
+    )
+    def test_simulate_names_the_config(self, mini_build, capsys, ini_edit, message):
+        # values that only the run rejects, as extract's test_bad_config_value cases
+        cfg = mini_build / "mini.ini"
+        cfg.write_text(cfg.read_text().replace(*ini_edit))
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(mini_build / "frames")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {cfg}: {message}") and err.count(str(cfg)) == 1
+
+    @pytest.mark.parametrize("command", [["extract"], ["simulate", "--out-dir", "frames"]], ids=["extract", "simulate"])
+    def test_missing_config_is_named_once(self, tmp_path, capsys, command):
+        cfg = tmp_path / "none.ini"
+        assert main([*command, "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"config error: {cfg}: config file not found\n"
 
     @pytest.mark.parametrize(
         "data, message",
@@ -578,9 +601,45 @@ class TestPipeline:
 
     def test_parallel_matches_serial(self, mini_build):
         cfg = str(mini_build / "mini.ini")
-        assert main(["extract", "--config", cfg, "--jobs", "1"]) == 0
+        outputs = []
+        for jobs in ("1", "2"):
+            assert main(["extract", "--config", cfg, "--jobs", jobs]) == 0
+            manifest = (mini_build / "mini.irvx.manifest.txt").read_text().splitlines()
+            timings = (mini_build / "mini.irvx.timings.txt").read_text()
+            outputs.append(
+                (
+                    (mini_build / "mini.irvx").read_bytes(),
+                    [line for line in manifest if not line.startswith("jobs = ")],
+                    re.sub(r"\d+\.\d+", "", timings),  # layer numbers and stage names
+                )
+            )
+        assert outputs[0] == outputs[1]
+        assert "[layer 1]" in outputs[0][1] and "layer 1:  s; cli._simulate_layer:" in outputs[0][2]
+
+    @pytest.mark.parametrize("cpus, built", [(64, [2]), (1, []), (None, [])])
+    def test_workers_bounded_by_layers_and_cpus(self, mini_build, monkeypatch, cpus, built):
+        cfg = str(mini_build / "mini.ini")
+        assert main(["extract", "--config", cfg]) == 0
         serial = (mini_build / "mini.irvx").read_bytes()
-        assert main(["extract", "--config", cfg, "--jobs", "2"]) == 0
+        workers = []
+
+        class RecordingExecutor:  # runs the layers in this process
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        assert main(["extract", "--config", cfg, "--jobs", str(10**6)]) == 0  # 2 layers
+        assert workers == built
         assert (mini_build / "mini.irvx").read_bytes() == serial
 
 
